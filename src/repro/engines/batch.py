@@ -15,11 +15,12 @@ The serving workload of the ROADMAP is not "one design, one query" but a
   :class:`repro.cache.ResultCache` (when one is attached): hits are served
   from the parent after independent re-validation, only misses reach the
   pool;
-* pool workers run the *sequential* budget ladder
+* the pool is one :class:`~repro.engines.supervision.WorkerSupervisor`
+  map, and each worker runs the in-process form of the one rung loop
   (:func:`run_sequential_ladder`): with the pool already saturating the
   cores on batch parallelism, racing engines per item would oversubscribe —
-  instead each worker escalates cheap → medium → heavy in-process and stops
-  at the first definitive answer;
+  instead each worker escalates cheap → medium → heavy one engine at a
+  time and stops at the first definitive answer;
 * definitive results flow back to the parent, are validated, minimized and
   stored into the cache, so the *next* sweep over the same designs is all
   hits.
@@ -27,9 +28,7 @@ The serving workload of the ROADMAP is not "one design, one query" but a
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -39,23 +38,23 @@ from repro.engines.portfolio import (
     VerificationTask,
     default_budget_ladder,
     learn_priors,
+    run_ladder,
     warm_task_templates,
 )
-from repro.engines.registry import make_engine
-from repro.engines.result import Budget, Status, VerificationResult
+from repro.engines.result import Status, VerificationResult
 from repro.engines.supervision import (
     CANCELLED as _UNIT_CANCELLED,
     TIMED_OUT as _UNIT_TIMED_OUT,
     RetryPolicy,
     SupervisedOutcome,
     WorkerSupervisor,
-    report_progress,
+    default_context,
 )
 from repro.obs import telemetry as _telemetry
 
 
 # ---------------------------------------------------------------------------
-# the sequential in-process budget ladder (one batch worker = one item)
+# the in-process budget ladder (one batch worker = one item)
 # ---------------------------------------------------------------------------
 
 
@@ -68,109 +67,58 @@ def run_sequential_ladder(
 ) -> VerificationResult:
     """Escalate through the ladder rungs one engine at a time, in-process.
 
-    Every configuration of a rung runs with the rung's remaining budget
-    (clipped to the overall ``timeout``); the first definitive answer wins
-    and the attempt log is recorded under ``detail["ladder_attempts"]``.
-    Engine crashes are recorded and skipped — the batch counterpart of the
+    The in-process form of the one rung loop (:func:`run_ladder`): every
+    configuration of a rung runs with the rung's remaining budget (clipped
+    to the overall ``timeout``); the first definitive answer wins and the
+    attempt log is recorded under ``detail["ladder_attempts"]``.  Engine
+    crashes are recorded and skipped — the batch counterpart of the
     portfolio's crash category.  With ``certify`` a definitive answer is
     accepted only if its certificate passes independent validation; a claim
     that fails (a lying or fault-injected engine) is recorded as an
     ``uncertified`` attempt and the ladder escalates past it.
     """
-    budget = Budget(timeout)
-    attempts: List[Dict[str, object]] = []
-    saw_unknown = False
-    for rung_index, rung in enumerate(rungs):
-        rung_deadline = (
-            None if rung.budget is None else time.monotonic() + rung.budget
-        )
-        for config in rung.configs:
-            remaining = budget.remaining()
-            if remaining is not None and remaining <= 0:
-                break
-            allowance = remaining
-            if rung_deadline is not None:
-                rung_left = rung_deadline - time.monotonic()
-                if rung_left <= 0:
-                    break
-                allowance = (
-                    rung_left if allowance is None else min(allowance, rung_left)
-                )
-            t0 = time.monotonic()
-            # a rung landing is a liveness milestone: under supervision it
-            # streams to the waiting client as a progress frame
-            report_progress(
-                milestone=True, phase="rung", rung=rung_index, config=config.label
-            )
-            try:
-                with _telemetry.span(
-                    "ladder.attempt", config=config.label, rung=rung_index
-                ) as attempt_span:
-                    engine = make_engine(
-                        config.engine,
-                        system,
-                        ignore_unknown_options=True,
-                        **config.options_dict,
-                    )
-                    result = engine.verify(property_name, timeout=allowance)
-                    attempt_span.set_outcome(result.status)
-            except Exception as error:  # noqa: BLE001 - crash category
-                attempts.append(
-                    {
-                        "config": config.label,
-                        "rung": rung_index,
-                        "status": Status.ERROR,
-                        "runtime_s": round(time.monotonic() - t0, 6),
-                        "reason": f"{type(error).__name__}: {error}",
-                    }
-                )
-                continue
-            attempts.append(
-                {
-                    "config": config.label,
-                    "rung": rung_index,
-                    "status": result.status,
-                    "runtime_s": round(time.monotonic() - t0, 6),
-                }
-            )
-            if result.status == Status.UNKNOWN:
-                saw_unknown = True
-            if result.is_definitive and certify:
-                from repro.certs import validate_result
-
-                validation = validate_result(system, result, timeout=allowance)
-                if not validation.ok:
-                    attempts[-1]["status"] = "uncertified"
-                    attempts[-1]["reason"] = (
-                        f"certificate rejected: {validation.reason}"
-                    )
-                    continue
-                result.detail["certified"] = True
-            if result.is_definitive:
-                result.detail["ladder_rung"] = rung_index
-                result.detail["ladder_attempts"] = attempts
-                # keep result.runtime as the deciding engine's own time —
-                # consumers (learn_priors) attribute it to that engine, so it
-                # must not absorb earlier rungs' failed probes; the whole
-                # ladder's elapsed time is reported separately
-                result.detail["ladder_wall_s"] = round(budget.elapsed(), 6)
-                return result
-        if budget.expired():
-            break
-    status = Status.UNKNOWN if saw_unknown else Status.TIMEOUT
-    if attempts and all(a["status"] == Status.ERROR for a in attempts):
-        status = Status.ERROR
+    run = run_ladder(system, property_name, rungs, timeout, certify=certify)
+    attempts = [
+        _attempt_row(outcome) for outcome in run.workers if outcome.result is not None
+    ]
+    if run.winner is not None:
+        result = run.winner.result
+        result.detail["ladder_rung"] = run.decided_rung
+        result.detail["ladder_attempts"] = attempts
+        # keep result.runtime as the deciding engine's own time — consumers
+        # (learn_priors) attribute it to that engine, so it must not absorb
+        # earlier rungs' failed probes; the whole ladder's elapsed time is
+        # reported separately
+        result.detail["ladder_wall_s"] = round(run.wall_s, 6)
+        return result
     resolved_property = property_name or (
         system.properties[0].name if system.properties else ""
     )
     return VerificationResult(
-        status,
+        run.status,
         "ladder",
         resolved_property,
-        runtime=budget.elapsed(),
+        runtime=run.wall_s,
         detail={"ladder_attempts": attempts},
         reason="no ladder configuration reached a definitive answer",
     )
+
+
+def _attempt_row(outcome) -> Dict[str, object]:
+    """One ``ladder_attempts`` entry: config, rung, status, runtime, reason."""
+    result = outcome.result
+    row: Dict[str, object] = {
+        "config": outcome.label,
+        "rung": outcome.rung,
+        "status": result.status,
+        "runtime_s": round(outcome.runtime, 6),
+    }
+    if result.status == Status.ERROR:
+        row["reason"] = result.reason
+    elif result.detail.get("certified") is False:
+        row["status"] = "uncertified"
+        row["reason"] = f"certificate rejected: {result.detail.get('certify_reason')}"
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +154,11 @@ class BatchItemResult:
     status: str
     #: "cache" for hits, the deciding engine name for pool runs
     source: str
+    #: the deciding engine's own time (re-validation time for cache hits)
     runtime_s: float
+    #: the unit's wall time: its supervised attempts end to end (the
+    #: re-validation for cache hits)
+    wall_s: float = 0.0
     cache_key: Optional[str] = None
     #: True iff the verdict is backed by an independently validated
     #: certificate (always true for cache hits; true for stored results)
@@ -232,6 +184,7 @@ class BatchItemResult:
             "status": self.status,
             "source": self.source,
             "runtime_s": round(self.runtime_s, 6),
+            "wall_s": round(self.wall_s, 6),
             "cache_key": self.cache_key,
             "validated": self.validated,
             "stored": self.stored,
@@ -293,11 +246,15 @@ class BatchReport:
 
 
 def _batch_worker(
-    payload: Tuple[int, VerificationTask, Optional[str], Tuple[LadderRung, ...], Optional[float]],
+    payload: Tuple[int, VerificationTask, Optional[str], Tuple[LadderRung, ...], Optional[float], bool],
 ) -> Tuple[int, VerificationResult]:
-    """Run one unit of work (sequential ladder) in a pool process."""
-    index, task, property_name, rungs, timeout = payload[:5]
-    certify = bool(payload[5]) if len(payload) > 5 else False
+    """Run one unit of work (the in-process ladder) in a pool process.
+
+    Engine crashes and unpicklable results are handled per configuration by
+    :func:`repro.engines.portfolio.run_config`; a failure to load the
+    design (or of the ladder itself) becomes the unit's ERROR result here.
+    """
+    index, task, property_name, rungs, timeout, certify = payload
     start = time.monotonic()
     try:
         with _telemetry.span(
@@ -315,16 +272,6 @@ def _batch_worker(
             property_name or "",
             runtime=time.monotonic() - start,
             reason=f"{type(error).__name__}: {error}",
-        )
-    try:
-        pickle.dumps(result)
-    except Exception:  # pragma: no cover - unpicklable engine detail
-        result = VerificationResult(
-            result.status,
-            result.engine,
-            result.property_name,
-            runtime=result.runtime,
-            reason=result.reason or "detail dropped (not picklable)",
         )
     return index, result
 
@@ -365,8 +312,6 @@ def run_supervised_unit(
     timeout: Optional[float] = None,
     attempt_timeout: Optional[float] = None,
     certify: bool = False,
-    supervisor: Optional[WorkerSupervisor] = None,
-    context=None,
     retry: Optional[RetryPolicy] = None,
     abort=None,
     stall=None,
@@ -374,43 +319,61 @@ def run_supervised_unit(
 ) -> Tuple[VerificationResult, SupervisedOutcome]:
     """Run one ``(task, property)`` unit in a supervised worker process.
 
-    This is the single-unit form of the batch pool: one payload through
-    :meth:`WorkerSupervisor.run_map` with the same rebudgeting (the attempt
-    allowance is threaded into the ladder so engines and solvers arm their
-    cooperative deadlines) and the same semantic acceptance test (a ladder
-    that returned no definitive verdict is retried under the remaining
-    budget).  The serve layer runs every admitted request through here, so
-    a server request gets exactly the deadline/kill/retry hygiene of a
-    batch unit — plus ``abort`` for client-disconnect cancellation and
-    ``stall`` for the wedged-request liveness kill (both settable events,
-    see :meth:`WorkerSupervisor.run_map`).
+    This is the single-unit form of the batch pool (:func:`_run_units`).
+    The serve layer runs every admitted request through here, so a server
+    request gets exactly the deadline/kill/retry hygiene of a batch unit —
+    plus ``abort`` for client-disconnect cancellation and ``stall`` for the
+    wedged-request liveness kill (both settable events, see
+    :meth:`WorkerSupervisor.run_map`).
     """
-    if supervisor is None:
-        if context is None:
-            start_methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in start_methods else "spawn"
-            )
-        supervisor = WorkerSupervisor(context, retry=retry)
     payload = (0, task, property_name, tuple(rungs), timeout, certify)
-    outcomes = supervisor.run_map(
+    return _run_units(
+        WorkerSupervisor(default_context(), retry=retry),
         [payload],
-        _batch_worker,
         jobs=1,
         timeout=timeout,
         attempt_timeout=attempt_timeout,
-        rebudget=lambda p, allowance: p[:4] + (allowance,) + p[5:],
-        accept=_accept_definitive,
         abort=abort,
         stall=stall,
         on_event=on_event,
+    )[0]
+
+
+def _run_units(
+    supervisor: WorkerSupervisor,
+    payloads: Sequence[Tuple],
+    jobs: int,
+    timeout: Optional[float],
+    **map_options,
+) -> List[Tuple[VerificationResult, SupervisedOutcome]]:
+    """Run batch units through :meth:`WorkerSupervisor.run_map`.
+
+    Each payload is ``(index, task, property_name, rungs, timeout,
+    certify)``.  The attempt's allowance is threaded into the payload, so
+    the ladder (and its solvers) arm cooperative deadlines; the external
+    kill is only the backstop for wedged workers.  A ladder that returned
+    no definitive verdict is retried under the remaining budget.  A unit
+    that never reported surfaces its supervision state through the
+    ordinary result taxonomy, never as a skip.
+    """
+    outcomes = supervisor.run_map(
+        payloads,
+        _batch_worker,
+        jobs=jobs,
+        timeout=timeout,
+        rebudget=lambda payload, allowance: payload[:4] + (allowance,) + payload[5:],
+        accept=_accept_definitive,
+        **map_options,
     )
-    outcome = outcomes[0]
-    if outcome.value is not None:
-        _, result = outcome.value
-    else:
-        result = _result_from_outcome(outcome, property_name)
-    return result, outcome
+    return [
+        (
+            outcome.value[1]
+            if outcome.value is not None
+            else _result_from_outcome(outcome, payload[2]),
+            outcome,
+        )
+        for payload, outcome in zip(payloads, outcomes)
+    ]
 
 
 def _accept_definitive(payload, value) -> Optional[str]:
@@ -479,7 +442,6 @@ class BatchRunner:
         ladder: Optional[Sequence[LadderRung]] = None,
         priors: Optional[Dict[str, Dict[str, float]]] = None,
         on_event: Optional[Callable[[Dict[str, object]], None]] = None,
-        warm_templates: bool = True,
         retry: Optional[RetryPolicy] = None,
         attempt_timeout: Optional[float] = None,
         certify: bool = False,
@@ -497,14 +459,10 @@ class BatchRunner:
             )
         self.ladder = tuple(ladder)
         self.on_event = on_event
-        self.warm_templates = warm_templates
         self.retry = retry
         self.attempt_timeout = attempt_timeout
         self.certify = certify
-        start_methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in start_methods else "spawn"
-        )
+        self._context = default_context()
 
     # ------------------------------------------------------------------
     def _emit(self, event: str, **payload) -> None:
@@ -539,14 +497,9 @@ class BatchRunner:
 
     def _prewarm(self, units: Sequence[Tuple[VerificationTask, str, Optional[str]]]) -> None:
         """Blast every task's template library once, before forking the pool."""
-        if not self.warm_templates or self._context.get_start_method() != "fork":
+        if self._context.get_start_method() != "fork":
             return
-        seen = set()
-        for task, _, _ in units:
-            key = (task.kind, id(task.spec) if task.kind == "system" else task.spec)
-            if key in seen:
-                continue
-            seen.add(key)
+        for task in dict.fromkeys(task for task, _, _ in units):
             warm_task_templates(task, (self.representation,))
 
     # ------------------------------------------------------------------
@@ -588,6 +541,7 @@ class BatchRunner:
                     status=lookup.result.status,
                     source="cache",
                     runtime_s=lookup.runtime_s,
+                    wall_s=lookup.runtime_s,
                     cache_key=lookup.key,
                     validated=True,
                     expected=expected,
@@ -626,48 +580,28 @@ class BatchRunner:
             jobs = max(1, min(jobs, len(pending)))
             report.workers = jobs
             payloads = [
-                (
-                    index,
-                    units[index][0],
-                    units[index][1],
-                    self.ladder,
-                    self.timeout,
-                    self.certify,
-                )
+                (index, *units[index][:2], self.ladder, self.timeout, self.certify)
                 for index in pending
             ]
             for index in pending:
                 task, property_name, _ = units[index]
                 self._emit("scheduled", design=task.name, property=property_name)
-            supervisor = WorkerSupervisor(self._context, retry=self.retry)
-            outcomes = supervisor.run_map(
+            ran = _run_units(
+                WorkerSupervisor(self._context, retry=self.retry),
                 payloads,
-                _batch_worker,
                 jobs=jobs,
                 timeout=self.timeout,
                 attempt_timeout=self.attempt_timeout,
-                # thread the attempt's allowance into the payload so the
-                # ladder (and its solvers) arm cooperative deadlines; the
-                # external kill is only the backstop for wedged workers
-                rebudget=lambda payload, allowance: (
-                    payload[:4] + (allowance,) + payload[5:]
-                ),
-                accept=_accept_definitive,
                 on_event=lambda event: self._emit(
                     "supervision", **{"kind" if k == "event" else k: v for k, v in event.items()}
                 ),
             )
-            for payload, outcome in zip(payloads, outcomes):
+            for payload, (result, outcome) in zip(payloads, ran):
                 index = payload[0]
                 task, property_name, expected = units[index]
-                if outcome.value is not None:
-                    _, result = outcome.value
-                else:
-                    # the unit never reported: surface the supervision state
-                    # through the ordinary result taxonomy, never skip it
-                    result = _result_from_outcome(outcome, property_name)
                 row = self._finish(task, property_name, expected, result)
                 row.supervision = outcome.to_json()
+                row.wall_s = sum(a["runtime_s"] for a in outcome.attempts)
                 report.items[index] = row
                 report.retries += max(0, len(outcome.attempts) - 1)
                 if outcome.degraded:

@@ -1,20 +1,29 @@
-"""Process-based parallel portfolio over engine×representation configurations.
+"""Engine scheduling: one rung loop over engine×representation configurations.
 
 The paper's headline observation is that no single technique wins everywhere:
 BMC refutes quickly, k-induction/interpolation/kIkI/PDR prove, and which
 prover is fastest varies per design (Figures 3–5).  A *portfolio* exploits
-exactly that: run several engine configurations concurrently on the same
-verification task and take the first definitive answer.
+exactly that: run several engine configurations on the same verification
+task and take the first definitive answer.
 
-:class:`PortfolioRunner` fans the configurations out as worker *processes*
-(``multiprocessing``; the engines are CPU-bound pure Python, so threads would
-serialize on the GIL), streams per-worker lifecycle events and statistics
-back over a queue, cancels the losers as soon as one worker returns a
-definitive SAFE/UNSAFE answer, and aggregates everything into a
-:class:`PortfolioResult`.  A *cross-check* mode instead lets every worker
-finish and reports :data:`repro.engines.result.Status.WRONG` when two
-definitive answers disagree — the "wrong result" category of the paper's
-figures, applied to our own engines.
+There is one scheduler, :func:`run_ladder`: a sequence of
+:class:`LadderRung` config groups, each with a wall-clock budget, run in
+order until one rung decides.  A rung runs its configurations either
+in-process one at a time (batch and serve workers, see
+:mod:`repro.engines.batch`) or as a race of worker *processes* on one
+:class:`~repro.engines.supervision.WorkerSupervisor` pool (the engines are
+CPU-bound pure Python, so threads would serialize on the GIL).  Each worker
+reports over its own supervised pipe; the first definitive answer sets the
+pool map's abort event, which cancels the rung's losers.  Both paths run
+every configuration through the same :func:`run_config`.
+
+:class:`PortfolioRunner` drives the race: the all-at-once portfolio is a
+ladder with one rung and no rung budget, ``ladder=`` escalates cheap →
+medium → heavy tiers, and *cross-check* mode races without the abort, so
+every worker finishes and disagreeing definitive answers are adjudicated by
+certificate validation — or reported as
+:data:`repro.engines.result.Status.WRONG`, the "wrong result" category of
+the paper's figures applied to our own engines.
 
 Workers receive a picklable :class:`VerificationTask` (a suite benchmark
 name, a Verilog/AIGER file path, or a transition system) and rebuild the
@@ -24,20 +33,24 @@ process boundary under any start method.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
-import queue as queue_module
+import threading
 import time
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engines.registry import list_engines, make_engine
-from repro.engines.result import Counterexample, Status, VerificationResult
-from repro.engines.supervision import RetryPolicy, WorkerSupervisor
-from repro.faults import injection as _fault_injection
+from repro.engines.result import Budget, Counterexample, Status, VerificationResult
+from repro.engines.supervision import (
+    CRASHED,
+    DONE,
+    RetryPolicy,
+    WorkerSupervisor,
+    default_context,
+    report_progress,
+)
 from repro.netlist import TransitionSystem
 from repro.obs import telemetry as _telemetry
 
@@ -158,10 +171,9 @@ def warm_task_templates(
     resolves repeated loads to the same instance (benchmarks via the
     memoized suite loader, files via the stamped per-task memo, systems by
     identity) — so workers forked after this call find the parent's warm
-    blast in copy-on-write memory.  Shared by the portfolio fan-out, the
-    ladder and the batch pool.  Best-effort: failures are ignored, a worker
-    that cannot build templates reports its own error through the normal
-    result channel.
+    blast in copy-on-write memory.  Shared by the portfolio and the batch
+    pool.  Best-effort: failures are ignored, a worker that cannot build
+    templates reports its own error through the normal result channel.
     """
     try:
         from repro.engines.encoding import template_library
@@ -245,10 +257,12 @@ class LadderRung:
     """One rung of a budget ladder: a config group and its wall-clock budget.
 
     ``budget`` is the rung's wall-clock allowance in seconds (``None``:
-    whatever remains of the overall portfolio budget — the usual choice for
-    the final rung).  Rungs run in order; each is raced as its own
-    mini-portfolio with per-rung cancellation, and the ladder escalates only
-    when a rung ends without a definitive answer.
+    whatever remains of the overall budget — the usual choice for the final
+    rung).  :func:`run_ladder` runs the rungs in order and escalates only
+    when a rung ends without a definitive answer; within a rung the
+    configurations run one at a time in-process, or race on the supervised
+    pool where the first definitive answer cancels the rest.  The
+    all-at-once portfolio is a single rung with no budget.
     """
 
     configs: Tuple[PortfolioConfig, ...]
@@ -425,28 +439,28 @@ def default_budget_ladder(
 # ---------------------------------------------------------------------------
 
 
-#: worker states in a finished portfolio
-DONE = "done"  # posted a result
-CANCELLED = "cancelled"  # terminated after another worker won
-TIMED_OUT = "timed-out"  # terminated at the portfolio deadline
-SKIPPED = "skipped"  # never started (a winner emerged first)
-CRASHED = "crashed"  # process died without posting a result
+#: a configuration that never started (a winner emerged first, or its rung
+#: ran out of budget); the other configuration states are the supervision
+#: taxonomy: done, cancelled, timed-out, crashed
+SKIPPED = "skipped"
 
 
 @dataclass
 class WorkerOutcome:
-    """What happened to one portfolio worker."""
+    """What happened to one configuration of a ladder or portfolio run."""
 
     label: str
     engine: str
     options: Dict[str, object]
-    state: str
+    state: str = SKIPPED
     result: Optional[VerificationResult] = None
     runtime: float = 0.0
-    #: process attempts this configuration consumed (retries increment it)
-    attempts: int = 1
+    #: attempts this configuration consumed (retries increment it)
+    attempts: int = 0
     #: True when the outcome was produced in-process after pool degradation
     degraded: bool = False
+    #: index of the ladder rung the configuration ran in
+    rung: int = 0
 
     @property
     def status(self) -> str:
@@ -456,7 +470,7 @@ class WorkerOutcome:
 
 
 def _worker_cpu(outcome: WorkerOutcome) -> float:
-    """CPU seconds one worker consumed.
+    """CPU seconds one configuration consumed.
 
     Engines measure their own ``process_time`` (see
     :class:`repro.engines.base.Engine`), which survives the trip back from
@@ -467,6 +481,28 @@ def _worker_cpu(outcome: WorkerOutcome) -> float:
     if outcome.result is not None and outcome.result.cpu_time:
         return outcome.result.cpu_time
     return outcome.runtime
+
+
+def _decides(result: VerificationResult, certify: bool) -> bool:
+    """A definitive answer — with ``certify``, one whose certificate validated."""
+    return result.is_definitive and (
+        not certify or result.detail.get("certified") is True
+    )
+
+
+def _undecided_status(outcomes: Sequence[WorkerOutcome]) -> str:
+    """Summarize configurations none of which reached a definitive answer."""
+    statuses = [
+        outcome.result.status for outcome in outcomes if outcome.result is not None
+    ]
+    if Status.UNKNOWN in statuses:
+        return Status.UNKNOWN
+    if statuses and all(status == Status.ERROR for status in statuses):
+        return Status.ERROR
+    if not statuses and any(outcome.state == CRASHED for outcome in outcomes):
+        # every worker died without reporting: a crash, not a timeout
+        return Status.ERROR
+    return Status.TIMEOUT
 
 
 @dataclass
@@ -503,43 +539,47 @@ class PortfolioResult:
 
 
 # ---------------------------------------------------------------------------
-# the worker process
+# one configuration: the unit of work of every rung
 # ---------------------------------------------------------------------------
 
 
-def _portfolio_worker(
-    index: int,
-    config: PortfolioConfig,
-    task: VerificationTask,
-    property_name: Optional[str],
-    timeout: Optional[float],
-    events: "multiprocessing.Queue",
-    attempt: int = 0,
-) -> None:
-    """Run one engine configuration and stream lifecycle events back.
+def run_config(payload: Tuple) -> VerificationResult:
+    """Run one engine configuration; the same function in-process and in a worker.
 
-    When the parent was recording telemetry, the forked worker swaps in a
-    fresh recorder and ships its exported span subtree on
-    ``result.telemetry["trace"]``; the parent stitches it under the
-    worker's parent-side span.
+    ``payload`` is ``(config, target, property_name, timeout, certify,
+    rung)``, where ``target`` is a picklable :class:`VerificationTask`
+    (loaded here, in the worker) or an already-built transition system
+    (in-process).  An engine exception becomes an ERROR result — the crash
+    category of the paper.  With ``certify`` a definitive answer is checked
+    by the independent validator right here, next to the engine:
+    ``detail["certified"]`` records the verdict of the check and, for a
+    rejected certificate, ``detail["certify_reason"]`` the reason.  A
+    result that cannot be pickled (engine-specific detail) keeps its
+    verdict, times and telemetry but drops the rest, so it can always cross
+    a process boundary.
     """
+    config, target, property_name, timeout, certify, rung = payload
     start = time.monotonic()
-    _fault_injection.set_attempt(attempt)
-    _telemetry.child_begin()
     try:
         with _telemetry.span(
-            "worker.config", label=config.label, attempt=attempt
-        ) as worker_span:
-            system = task.load()
+            "ladder.attempt", config=config.label, rung=rung
+        ) as attempt_span:
+            system = target.load() if isinstance(target, VerificationTask) else target
             engine = make_engine(
                 config.engine,
                 system,
                 ignore_unknown_options=True,
                 **config.options_dict,
             )
-            events.put(("started", index, {"pid": os.getpid(), "label": config.label}))
             result = engine.verify(property_name, timeout=timeout)
-            worker_span.set_outcome(result.status)
+            attempt_span.set_outcome(result.status)
+        if certify and result.is_definitive:
+            from repro.certs import validate_result
+
+            validation = validate_result(system, result, timeout=timeout)
+            result.detail["certified"] = validation.ok
+            if not validation.ok:
+                result.detail["certify_reason"] = validation.reason
     except Exception as error:  # noqa: BLE001 - crash category of the paper
         result = VerificationResult(
             Status.ERROR,
@@ -548,14 +588,6 @@ def _portfolio_worker(
             runtime=time.monotonic() - start,
             reason=f"{type(error).__name__}: {error}",
         )
-    trace = _telemetry.child_export()
-    if trace is not None:
-        telemetry = dict(result.telemetry or {})
-        telemetry["trace"] = trace
-        result.telemetry = telemetry
-    # Queue.put serializes in a background feeder thread, so a pickling
-    # failure would be swallowed there and the result silently lost; probe
-    # the pickle here and strip the engine-specific payload if needed.
     try:
         pickle.dumps(result)
     except Exception:  # pragma: no cover - unpicklable engine detail
@@ -568,7 +600,181 @@ def _portfolio_worker(
             reason=result.reason or "detail dropped (not picklable)",
             telemetry=result.telemetry,  # JSON-safe primitives, always pickles
         )
-    events.put(("result", index, result))
+    return result
+
+
+# ---------------------------------------------------------------------------
+# the rung loop
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class LadderRun:
+    """What one pass of the rung loop did."""
+
+    #: every configuration of every rung that ran, in schedule order
+    workers: List[WorkerOutcome] = field(default_factory=list)
+    #: per-rung accounting rows (budget, wall, CPU, status, winner)
+    rungs: List[Dict[str, object]] = field(default_factory=list)
+    #: the configuration whose answer decided the run (the first to arrive)
+    winner: Optional[WorkerOutcome] = None
+    decided_rung: Optional[int] = None
+    wall_s: float = 0.0
+
+    @property
+    def status(self) -> str:
+        """The deciding answer's status, or the summary of an undecided run."""
+        return self.winner.status if self.winner else _undecided_status(self.workers)
+
+
+def run_ladder(
+    target,
+    property_name: Optional[str],
+    rungs: Sequence[LadderRung],
+    timeout: Optional[float] = None,
+    certify: bool = False,
+    pool: Optional[WorkerSupervisor] = None,
+    jobs: int = 1,
+    race: bool = True,
+    on_event: Optional[Callable[[Dict[str, object]], None]] = None,
+) -> LadderRun:
+    """Escalate through ``rungs`` until one of them decides.
+
+    Each rung gets its own budget (``None``: whatever remains), clipped to
+    the overall ``timeout``.  Without a ``pool`` a rung runs its
+    configurations in-process, one at a time, each with the rung's
+    remaining budget: the path of batch and serve workers, whose own
+    process is already supervised.  With a ``pool`` the rung's
+    configurations race as supervised workers
+    (:meth:`WorkerSupervisor.run_map`, at most ``jobs`` at once) and the
+    first decisive answer sets the map's ``abort`` event, which cancels the
+    rung's losers; ``race=False`` (cross-check) lets every configuration
+    finish.  A decisive answer is a definitive one — with ``certify``, one
+    whose certificate validated (see :func:`run_config`).  The loop stops
+    after the first rung with a decisive answer.
+
+    ``target`` is a :class:`VerificationTask`, or (in-process only) an
+    already-built transition system.
+    """
+    overall = Budget(timeout)
+    run = LadderRun()
+    for index, rung in enumerate(rungs):
+        if overall.expired():
+            break
+        budget, remaining = rung.budget, overall.remaining()
+        if remaining is not None:
+            budget = remaining if budget is None else min(budget, remaining)
+
+        def emit(event: str, **fields) -> None:
+            if on_event is not None:
+                on_event({"event": event, "rung": index, "tier": rung.tier, **fields})
+
+        outcomes = [
+            WorkerOutcome(config.label, config.engine, config.options_dict, rung=index)
+            for config in rung.configs
+        ]
+        payloads = [
+            (config, target, property_name, budget, certify, index)
+            for config in rung.configs
+        ]
+        clock = Budget(budget)
+        with _telemetry.span("ladder.rung", rung=index, tier=rung.tier) as rung_span:
+            if pool is None:
+                winner = _run_inline(payloads, outcomes, clock, certify)
+            else:
+                winner = _race(pool, jobs, payloads, outcomes, clock, certify, race, emit)
+            status = winner.status if winner else _undecided_status(outcomes)
+            rung_span.set_outcome(status)
+        run.workers.extend(outcomes)
+        run.rungs.append(
+            {
+                "rung": index,
+                "tier": rung.tier,
+                "configs": list(rung.labels),
+                "budget_s": None if budget is None else round(budget, 6),
+                "wall_s": round(clock.elapsed(), 6),
+                "cpu_s": round(sum(map(_worker_cpu, outcomes)), 6),
+                "status": status,
+                "winner": winner.label if winner else None,
+            }
+        )
+        if winner is not None:
+            run.winner, run.decided_rung = winner, index
+            break
+    run.wall_s = overall.elapsed()
+    return run
+
+
+def _rebudget(payload, clock: Budget, allowance=None):
+    """Thread an attempt's allowance, clipped to the rung's budget, into ``payload``."""
+    left = clock.remaining()
+    if left is not None:
+        allowance = left if allowance is None else min(allowance, left)
+    return payload[:3] + (allowance,) + payload[4:]
+
+
+def _run_inline(payloads, outcomes, clock: Budget, certify) -> Optional[WorkerOutcome]:
+    """One rung in-process: configurations one at a time, first decider wins."""
+    for payload, outcome in zip(payloads, outcomes):
+        if clock.expired():
+            break
+        # a rung landing is a liveness milestone: under supervision it
+        # streams to the waiting client as a progress frame
+        report_progress(
+            milestone=True, phase="rung", rung=outcome.rung, config=outcome.label
+        )
+        t0 = time.monotonic()
+        result = run_config(_rebudget(payload, clock))
+        outcome.state, outcome.result, outcome.attempts = DONE, result, 1
+        outcome.runtime = time.monotonic() - t0
+        if _decides(result, certify):
+            return outcome
+    return None
+
+
+def _race(
+    pool, jobs, payloads, outcomes, clock: Budget, certify, race, emit
+) -> Optional[WorkerOutcome]:
+    """One rung on the supervised pool: the first decider aborts the rest."""
+    unit_of = {id(payload): unit for unit, payload in enumerate(payloads)}
+    abort = threading.Event()
+    deciders: List[WorkerOutcome] = []
+
+    def accept(payload, result) -> None:
+        outcome = outcomes[unit_of[id(payload)]]
+        emit("result", label=outcome.label, status=result.status)
+        if not deciders and _decides(result, certify):
+            deciders.append(outcome)
+            if race:
+                abort.set()
+        return None  # every report is an answer; only a death is retried
+
+    def relay(event: Dict[str, object]) -> None:
+        unit = event.pop("unit", None)
+        if event["event"] != "progress":  # per-bound ticks would flood
+            label = outcomes[unit].label if unit is not None else ""
+            emit(event.pop("event"), label=label, **event)
+
+    supervised = pool.run_map(
+        payloads,
+        run_config,
+        jobs=jobs,
+        timeout=clock.remaining(),
+        # a configuration queued behind others still stops at the rung deadline
+        rebudget=lambda payload, allowance: _rebudget(payload, clock, allowance),
+        accept=accept,
+        abort=abort,
+        on_event=relay,
+    )
+    for outcome, unit in zip(outcomes, supervised):
+        outcome.attempts = len(unit.attempts)
+        outcome.runtime = sum(attempt["runtime_s"] for attempt in unit.attempts)
+        outcome.degraded = unit.degraded
+        if unit.state == DONE:
+            outcome.state, outcome.result = DONE, unit.value
+        elif unit.attempts:  # never launched: stays skipped
+            outcome.state = unit.state
+    return deciders[0] if deciders else None
 
 
 # ---------------------------------------------------------------------------
@@ -577,16 +783,21 @@ def _portfolio_worker(
 
 
 class PortfolioRunner:
-    """Race engine configurations in worker processes.
+    """Race engine configurations in supervised worker processes.
+
+    Every run is a budget ladder on one :class:`WorkerSupervisor` pool (see
+    :func:`run_ladder`); the all-at-once portfolio is the ladder with one
+    rung and no rung budget.
 
     Parameters
     ----------
     configs:
-        The configurations to fan out (default:
+        The configurations to race at once (default:
         :func:`default_portfolio_configs`).
     timeout:
-        Overall wall-clock budget in seconds for the whole portfolio; each
-        worker also receives it as its engine budget.
+        Overall wall-clock budget in seconds for the whole run; each worker
+        receives what remains of it (or of its rung's budget) as its engine
+        budget.
     max_workers:
         Concurrent process cap (default: one process per configuration, so
         the race is decided by the OS scheduler even when configurations
@@ -595,43 +806,34 @@ class PortfolioRunner:
     cross_check:
         When True the runner does *not* cancel on the first definitive
         answer; every worker runs to completion and disagreeing definitive
-        answers yield an overall ``Status.WRONG``.
+        answers are adjudicated by certificate validation, or yield an
+        overall ``Status.WRONG`` when validation cannot decide.
     expected:
         Optional ground-truth verdict (``"safe"``/``"unsafe"``).  A
         definitive portfolio answer contradicting it is reported as
         ``Status.WRONG`` — the harness-side classification of the paper.
     on_event:
         Optional callback receiving progress dicts
-        (``{"event": "started"|"result"|..., "label": ..., ...}``) as they
-        stream in from the workers.
-    warm_templates:
-        Pre-blast the frame templates of the task in the *parent* process
-        before forking (default True).  Workers inherit the warmed caches via
-        copy-on-write, so N workers share one blast instead of re-blasting N
-        times.  No-op under the ``spawn`` start method (workers warm their
-        own caches there).
+        (``{"event": "attempt"|"result"|"retry"|..., "label": ..., "rung":
+        ..., ...}``) as the workers start and report.
     ladder:
         Budget-ladder mode (mutually exclusive with ``configs`` and
         ``cross_check``): a sequence of :class:`LadderRung` (see
-        :func:`default_budget_ladder`).  Instead of fanning every
-        configuration out at once, the rungs run in order — cheap refuters
-        at a small budget first, escalating to the provers only when a rung
-        ends without a definitive answer — with per-rung cancellation.
-        ``timeout`` still bounds the whole ladder.
+        :func:`default_budget_ladder`).  The rungs race in order — cheap
+        refuters at a small budget first, escalating to the provers only
+        when a rung ends without a definitive answer.  ``timeout`` still
+        bounds the whole ladder.
     retry:
         :class:`repro.engines.supervision.RetryPolicy` for workers that die
         without reporting: the crashed configuration is relaunched with
-        exponential backoff while the portfolio's remaining budget allows
-        (default: one retry).
+        exponential backoff while its remaining budget allows (default:
+        one retry).
     certify:
         Accept a definitive worker answer only when its certificate passes
         independent validation (:func:`repro.certs.validate_result`); an
         uncertified claim is excluded from winning and recorded under
         ``detail["certification"]``.
     """
-
-    #: extra wall-clock grace before force-terminating workers at the deadline
-    GRACE_SECONDS = 2.0
 
     def __init__(
         self,
@@ -641,14 +843,11 @@ class PortfolioRunner:
         cross_check: bool = False,
         expected: Optional[str] = None,
         on_event: Optional[Callable[[Dict[str, object]], None]] = None,
-        poll_interval: float = 0.05,
-        warm_templates: bool = True,
         ladder: Optional[Sequence[LadderRung]] = None,
         retry: Optional[RetryPolicy] = None,
         certify: bool = False,
     ) -> None:
-        self.ladder = list(ladder) if ladder is not None else None
-        if self.ladder is not None:
+        if ladder is not None:
             if cross_check:
                 raise ValueError(
                     "budget-ladder scheduling cancels rung by rung and is "
@@ -657,15 +856,12 @@ class PortfolioRunner:
                 )
             if configs is not None:
                 raise ValueError("pass either configs or ladder, not both")
-            if not self.ladder or not any(rung.configs for rung in self.ladder):
-                raise ValueError("ladder needs at least one configuration")
-            self.configs = [
-                config for rung in self.ladder for config in rung.configs
-            ]
+            self.rungs = list(ladder)
         else:
-            self.configs = (
-                list(configs) if configs is not None else default_portfolio_configs()
-            )
+            if configs is None:
+                configs = default_portfolio_configs()
+            self.rungs = [LadderRung(tuple(configs))]
+        self.configs = [config for rung in self.rungs for config in rung.configs]
         if not self.configs:
             raise ValueError("portfolio needs at least one configuration")
         self.timeout = timeout
@@ -673,24 +869,20 @@ class PortfolioRunner:
         self.cross_check = cross_check
         self.expected = expected
         self.on_event = on_event
-        self.poll_interval = poll_interval
-        self.warm_templates = warm_templates
         self.retry = retry if retry is not None else RetryPolicy()
         self.certify = certify
-        start_methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in start_methods else "spawn"
-        )
+        self._context = default_context()
 
     # ------------------------------------------------------------------
     def _prewarm(self, task: VerificationTask) -> None:
         """Blast the task's frame templates once, in the parent, before forking.
 
-        Every representation the configuration fan-out uses is warmed, so the
+        Every representation the configurations use is warmed, so the
         forked workers find their ``(system, representation)`` template
-        library already built in inherited (copy-on-write) memory.
+        library already built in inherited (copy-on-write) memory.  No-op
+        under the ``spawn`` start method (workers warm their own caches).
         """
-        if not self.warm_templates or self._context.get_start_method() != "fork":
+        if self._context.get_start_method() != "fork":
             return
         warm_task_templates(
             task,
@@ -706,466 +898,67 @@ class PortfolioRunner:
         task: VerificationTask,
         property_name: Optional[str] = None,
     ) -> PortfolioResult:
-        """Run the portfolio (all-at-once or ladder) on ``task``."""
-        if self.ladder is not None:
-            with _telemetry.span(
-                "portfolio.ladder", task=task.name, rungs=len(self.ladder)
-            ) as ladder_span:
-                result = self._run_ladder(task, property_name)
-                ladder_span.set_outcome(result.status)
-                return result
+        """Run the ladder (one rung for the all-at-once portfolio) on ``task``."""
         with _telemetry.span(
-            "portfolio.run", task=task.name, configs=len(self.configs)
+            "portfolio.run", task=task.name, configs=len(self.configs),
+            rungs=len(self.rungs),
         ) as run_span:
-            result = self._run_fanout(task, property_name)
+            start = time.monotonic()
+            self._prewarm(task)
+            pool = WorkerSupervisor(self._context, retry=self.retry)
+            run = run_ladder(
+                task,
+                property_name,
+                self.rungs,
+                self.timeout,
+                certify=self.certify,
+                pool=pool,
+                jobs=self.max_workers,
+                race=not self.cross_check,
+                on_event=self.on_event,
+            )
+            supervision = {
+                "spawned": pool.spawned,
+                "spawn_failures": pool.spawn_failures,
+                "retries": pool.retries_launched,
+                "kills": pool.kills,
+                "degraded": any(outcome.degraded for outcome in run.workers),
+            }
+            result = self._aggregate(task, property_name, run, start, supervision)
             run_span.set_outcome(result.status)
             return result
-
-    def _run_fanout(
-        self,
-        task: VerificationTask,
-        property_name: Optional[str] = None,
-    ) -> PortfolioResult:
-        """Race every configuration at once; first definitive answer wins."""
-        start = time.monotonic()
-        self._prewarm(task)
-        deadline = start + self.timeout if self.timeout is not None else None
-        events: "multiprocessing.Queue" = self._context.Queue()
-
-        outcomes = [
-            WorkerOutcome(config.label, config.engine, config.options_dict, SKIPPED)
-            for config in self.configs
-        ]
-        processes: Dict[int, multiprocessing.Process] = {}
-        launched: Dict[int, float] = {}
-        finished = 0
-        winner_index: Optional[int] = None
-        supervisor = WorkerSupervisor(
-            self._context, retry=self.retry, grace=self.GRACE_SECONDS
-        )
-        launch_queue = deque(range(len(self.configs)))
-        attempts: Dict[int, int] = {}
-        not_before: Dict[int, float] = {}
-        retry_pending: set = set()
-        degraded = False
-
-        def emit(event: str, **payload) -> None:
-            if self.on_event is not None:
-                self.on_event({"event": event, **payload})
-
-        # parent-side trace assembly: one explicit-parent span per launched
-        # worker attempt (workers overlap, so the thread stack cannot hold
-        # them); a reporting worker's exported subtree is stitched under its
-        # span, and cancels/kills — where the worker ships nothing — are
-        # recorded by the parent-side span alone
-        recorder = _telemetry.get_recorder()
-        fanout_parent = recorder.current_span() if recorder is not None else None
-        worker_spans: Dict[int, object] = {}
-
-        def begin_worker_span(index: int, attempt: int, pid=None) -> None:
-            if recorder is None:
-                return
-            worker_spans[index] = recorder.start_span(
-                "portfolio.worker",
-                parent=fanout_parent,
-                label=self.configs[index].label,
-                attempt=attempt,
-                **({"worker_pid": pid} if pid is not None else {}),
-            )
-
-        def end_worker_span(index: int, state: str, result=None) -> None:
-            _telemetry.counter(f"portfolio.worker.{state}")
-            if recorder is None:
-                return
-            span = worker_spans.pop(index, None)
-            if span is None:
-                return
-            trace = (result.telemetry or {}).get("trace") if result is not None else None
-            if trace:
-                recorder.attach(trace, span)
-            span.finish(outcome=state)
-
-        def launch_until_full() -> None:
-            nonlocal degraded
-            rotations = 0
-            while launch_queue and len(processes) < self.max_workers and not degraded:
-                now = time.monotonic()
-                index = launch_queue[0]
-                if not_before.get(index, 0.0) > now:
-                    # retry backoff not elapsed: rotate so others can launch
-                    launch_queue.rotate(-1)
-                    rotations += 1
-                    if rotations >= len(launch_queue):
-                        break
-                    continue
-                launch_queue.popleft()
-                remaining = None if deadline is None else max(0.0, deadline - now)
-                process = supervisor.spawn(
-                    _portfolio_worker,
-                    args=(
-                        index,
-                        self.configs[index],
-                        task,
-                        property_name,
-                        remaining,
-                        events,
-                        attempts.get(index, 0),
-                    ),
-                )
-                if process is None:
-                    launch_queue.appendleft(index)
-                    if not supervisor.pool_healthy:
-                        degraded = True
-                        emit("pool-unhealthy", error=supervisor.last_spawn_error)
-                    break
-                processes[index] = process
-                launched[index] = time.monotonic()
-                retry_pending.discard(index)
-                outcomes[index].state = CANCELLED  # running; refined on completion
-                outcomes[index].attempts = attempts.get(index, 0) + 1
-                begin_worker_span(index, attempts.get(index, 0), pid=process.pid)
-
-        def reap_death(index: int) -> None:
-            """A worker died without reporting: retry under budget or retire."""
-            nonlocal finished
-            outcomes[index].state = CRASHED
-            outcomes[index].runtime = time.monotonic() - launched[index]
-            end_worker_span(index, CRASHED)
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if winner_index is None and self.retry.should_retry(
-                CRASHED, attempts.get(index, 0), remaining
-            ):
-                attempts[index] = attempts.get(index, 0) + 1
-                not_before[index] = time.monotonic() + self.retry.backoff(
-                    attempts[index]
-                )
-                retry_pending.add(index)
-                supervisor.retries_launched += 1
-                launch_queue.append(index)
-                emit(
-                    "retry",
-                    label=outcomes[index].label,
-                    attempt=attempts[index],
-                )
-            else:
-                finished += 1
-                emit("crashed", label=outcomes[index].label)
-
-        launch_until_full()
-
-        while finished < len(self.configs) and (processes or launch_queue):
-            if deadline is not None and time.monotonic() > deadline + self.GRACE_SECONDS:
-                break
-            if degraded and not processes:
-                break  # the degraded in-process drain below takes over
-            try:
-                kind, index, payload = events.get(timeout=self.poll_interval)
-            except queue_module.Empty:
-                # reap workers that died without posting a result
-                for index, process in list(processes.items()):
-                    if not process.is_alive():
-                        process.join()
-                        del processes[index]
-                        if outcomes[index].result is None:
-                            reap_death(index)
-                launch_until_full()
-                continue
-            if kind == "started":
-                emit("started", label=payload["label"], pid=payload["pid"])
-                continue
-            # kind == "result"
-            result: VerificationResult = payload
-            # a result can land after the reap branch already marked the
-            # worker CRASHED (queue feeder raced the process exit): upgrade
-            # the outcome but do not count the worker as finished twice —
-            # unless a retry is still pending, in which case this result
-            # settles the unit and the retry is withdrawn
-            first_report = outcomes[index].result is None and (
-                outcomes[index].state != CRASHED or index in retry_pending
-            )
-            if index in retry_pending:
-                retry_pending.discard(index)
-                try:
-                    launch_queue.remove(index)
-                except ValueError:
-                    pass
-            outcomes[index].result = result
-            outcomes[index].state = DONE
-            outcomes[index].runtime = time.monotonic() - launched[index]
-            end_worker_span(index, DONE, result=result)
-            if first_report:
-                finished += 1
-            process = processes.pop(index, None)
-            if process is not None:
-                process.join(timeout=self.GRACE_SECONDS)
-                if process.is_alive():  # pragma: no cover - defensive
-                    supervisor.stop(process)
-            emit(
-                "result",
-                label=outcomes[index].label,
-                status=result.status,
-                runtime=outcomes[index].runtime,
-                detail=dict(result.detail),
-            )
-            if result.is_definitive and not self.cross_check:
-                winner_index = index
-                break
-            launch_until_full()
-
-        # record results that raced the cancellation before terminating losers
-        while True:
-            try:
-                kind, index, payload = events.get_nowait()
-            except queue_module.Empty:
-                break
-            if kind != "result" or outcomes[index].result is not None:
-                continue
-            outcomes[index].result = payload
-            outcomes[index].state = DONE
-            outcomes[index].runtime = time.monotonic() - launched[index]
-            end_worker_span(index, DONE, result=payload)
-            finished += 1
-            process = processes.pop(index, None)
-            if process is not None:
-                process.join(timeout=self.GRACE_SECONDS)
-
-        # cancel everything still in flight, escalating terminate → SIGKILL so
-        # a SIGTERM-ignoring worker can never leak past the driver as a zombie
-        deadline_hit = deadline is not None and time.monotonic() >= deadline
-        for index, process in processes.items():
-            supervisor.stop(process)
-            if outcomes[index].result is None:
-                outcomes[index].state = TIMED_OUT if winner_index is None and deadline_hit else CANCELLED
-                outcomes[index].runtime = time.monotonic() - launched[index]
-                emit("cancelled", label=outcomes[index].label, state=outcomes[index].state)
-                end_worker_span(index, outcomes[index].state)
-        events.close()
-        events.cancel_join_thread()
-
-        if degraded and winner_index is None:
-            # spawning is broken: give every unanswered configuration its
-            # shot in-process, sequentially, until one answers definitively —
-            # a degraded portfolio still serves every query
-            for index, outcome in enumerate(outcomes):
-                if outcome.result is not None:
-                    continue
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    break
-                t0 = time.monotonic()
-                _fault_injection.set_attempt(attempts.get(index, 0))
-                begin_worker_span(index, attempts.get(index, 0))
-                degraded_span = worker_spans.get(index)
-                try:
-                    system = task.load()
-                    engine = make_engine(
-                        self.configs[index].engine,
-                        system,
-                        ignore_unknown_options=True,
-                        **self.configs[index].options_dict,
-                    )
-                    if recorder is not None and degraded_span is not None:
-                        with recorder.under(degraded_span):
-                            result = engine.verify(property_name, timeout=remaining)
-                    else:
-                        result = engine.verify(property_name, timeout=remaining)
-                except Exception as error:  # noqa: BLE001 - crash category
-                    result = VerificationResult(
-                        Status.ERROR,
-                        self.configs[index].engine,
-                        property_name or "",
-                        runtime=time.monotonic() - t0,
-                        reason=f"{type(error).__name__}: {error}",
-                    )
-                finally:
-                    _fault_injection.set_attempt(0)
-                outcome.result = result
-                outcome.state = DONE
-                outcome.degraded = True
-                outcome.runtime = time.monotonic() - t0
-                end_worker_span(index, DONE)
-                emit(
-                    "degraded",
-                    label=outcome.label,
-                    status=result.status,
-                    runtime=outcome.runtime,
-                )
-                if result.is_definitive and not self.cross_check:
-                    winner_index = index
-                    break
-
-        supervision = {
-            "spawned": supervisor.spawned,
-            "spawn_failures": supervisor.spawn_failures,
-            "retries": supervisor.retries_launched,
-            "kills": supervisor.kills,
-            "degraded": degraded,
-        }
-        return self._aggregate(
-            task, property_name, outcomes, winner_index, start, supervision
-        )
-
-    # ------------------------------------------------------------------
-    def _run_ladder(
-        self,
-        task: VerificationTask,
-        property_name: Optional[str],
-    ) -> PortfolioResult:
-        """Escalate through the budget ladder instead of fanning out at once.
-
-        Each rung is raced as its own mini-portfolio (first definitive
-        answer cancels the rung's losers); the ladder stops at the first
-        rung that produces a definitive (or expected-contradicting WRONG)
-        answer and only then escalates to the next, more expensive tier.
-        The aggregated result carries every rung's workers plus a
-        ``detail["ladder"]`` record with per-rung wall/CPU accounting —
-        on tasks a cheap rung decides, total CPU is a fraction of the
-        all-at-once fan-out's.
-        """
-        assert self.ladder is not None
-        start = time.monotonic()
-        self._prewarm(task)
-        deadline = start + self.timeout if self.timeout is not None else None
-
-        all_workers: List[WorkerOutcome] = []
-        rung_rows: List[Dict[str, object]] = []
-        decided_rung: Optional[int] = None
-        final: Optional[PortfolioResult] = None
-        for index, rung in enumerate(self.ladder):
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            if remaining is not None and remaining <= 0:
-                break
-            budget = rung.budget
-            if budget is None:
-                budget = remaining
-            elif remaining is not None:
-                budget = min(budget, remaining)
-            child = PortfolioRunner(
-                configs=rung.configs,
-                timeout=budget,
-                max_workers=self.max_workers,
-                expected=self.expected,
-                on_event=self._rung_event(index, rung),
-                poll_interval=self.poll_interval,
-                warm_templates=False,  # warmed once above
-                retry=self.retry,
-                certify=self.certify,
-            )
-            rung_start = time.monotonic()
-            with _telemetry.span(
-                "ladder.rung", rung=index, tier=rung.tier
-            ) as rung_span:
-                result = child.run(task, property_name)
-                rung_span.set_outcome(result.status)
-            rung_wall = time.monotonic() - rung_start
-            rung_cpu = sum(_worker_cpu(outcome) for outcome in result.workers)
-            all_workers.extend(result.workers)
-            rung_rows.append(
-                {
-                    "rung": index,
-                    "tier": rung.tier,
-                    "configs": list(rung.labels),
-                    "budget_s": None if budget is None else round(budget, 6),
-                    "wall_s": round(rung_wall, 6),
-                    "cpu_s": round(rung_cpu, 6),
-                    "status": result.status,
-                    "winner": result.winner,
-                }
-            )
-            if result.is_definitive or result.status == Status.WRONG:
-                decided_rung = index
-                final = result
-                break
-
-        runtime = time.monotonic() - start
-        cpu_s = sum(_worker_cpu(outcome) for outcome in all_workers)
-        ladder_detail: Dict[str, object] = {
-            "rungs": rung_rows,
-            "decided_rung": decided_rung,
-            "schedule": [list(rung.labels) for rung in self.ladder],
-        }
-        if final is not None:
-            detail = dict(final.detail)
-            detail["ladder"] = ladder_detail
-            detail["cpu_s"] = round(cpu_s, 6)
-            return PortfolioResult(
-                final.status,
-                final.property_name,
-                runtime,
-                winner=final.winner,
-                winner_engine=final.winner_engine,
-                counterexample=final.counterexample,
-                workers=all_workers,
-                detail=detail,
-                reason=final.reason
-                or f"decided at ladder rung {decided_rung}",
-                certificate=final.certificate,
-            )
-
-        # no rung reached a definitive answer: summarize like the fan-out
-        finished = [outcome for outcome in all_workers if outcome.result is not None]
-        statuses = [outcome.result.status for outcome in finished]
-        if any(status == Status.UNKNOWN for status in statuses):
-            status = Status.UNKNOWN
-        elif statuses and all(status == Status.ERROR for status in statuses):
-            status = Status.ERROR
-        else:
-            status = Status.TIMEOUT
-        return PortfolioResult(
-            status,
-            self._property_name(property_name, finished),
-            runtime,
-            workers=all_workers,
-            detail={
-                "task": task.name,
-                "configs": [outcome.label for outcome in all_workers],
-                "worker_statuses": {
-                    outcome.label: outcome.status for outcome in all_workers
-                },
-                "ladder": ladder_detail,
-                "cpu_s": round(cpu_s, 6),
-            },
-            reason="no ladder rung reached a definitive answer",
-        )
-
-    def _rung_event(
-        self, index: int, rung: LadderRung
-    ) -> Optional[Callable[[Dict[str, object]], None]]:
-        if self.on_event is None:
-            return None
-
-        def forward(event: Dict[str, object]) -> None:
-            self.on_event({**event, "rung": index, "tier": rung.tier})
-
-        return forward
 
     # ------------------------------------------------------------------
     def _aggregate(
         self,
         task: VerificationTask,
         property_name: Optional[str],
-        outcomes: List[WorkerOutcome],
-        winner_index: Optional[int],
+        run: LadderRun,
         start: float,
-        supervision: Optional[Dict[str, object]] = None,
+        supervision: Dict[str, object],
     ) -> PortfolioResult:
+        outcomes = run.workers
         runtime = time.monotonic() - start
+        reported = [o.result for o in outcomes if o.result is not None]
+        resolved_property = property_name or next(
+            (result.property_name for result in reported if result.property_name), ""
+        )
         detail: Dict[str, object] = {
             "task": task.name,
             "configs": [outcome.label for outcome in outcomes],
             "worker_statuses": {outcome.label: outcome.status for outcome in outcomes},
             "cross_check": self.cross_check,
-            # CPU the fan-out spent: each worker's measured process time
-            # (wall for workers that never reported), compared against
-            # ladder CPU by the serve bench
-            "cpu_s": round(sum(_worker_cpu(outcome) for outcome in outcomes), 6),
+            # CPU the run spent: each worker's measured process time (wall
+            # for workers that never reported), compared between the ladder
+            # and the all-at-once fan-out by the serve bench
+            "cpu_s": round(sum(map(_worker_cpu, outcomes)), 6),
+            "supervision": supervision,
+            "ladder": {
+                "rungs": run.rungs,
+                "decided_rung": run.decided_rung,
+                "schedule": [list(rung.labels) for rung in self.rungs],
+            },
         }
-        if supervision is not None:
-            detail["supervision"] = supervision
 
         definitive = [
             outcome
@@ -1174,55 +967,34 @@ class PortfolioRunner:
         ]
 
         # certify mode: a definitive claim counts only with a certificate the
-        # independent validator accepts — a liar is excluded from winning and
-        # its rejection recorded, never silently dropped
+        # independent validator accepted (checked in the worker, next to the
+        # engine) — a liar is excluded from winning and its rejection
+        # recorded, never silently dropped
         if self.certify and definitive:
-            certification: Dict[str, Dict[str, object]] = {}
-            certified: List[WorkerOutcome] = []
-            try:
-                system = task.load()
-            except Exception as error:  # noqa: BLE001 - loader failures
-                detail["certification"] = {
-                    "error": f"{type(error).__name__}: {error}"
+            detail["certification"] = {
+                outcome.label: {
+                    "claimed": outcome.result.status,
+                    "certified": _decides(outcome.result, True),
+                    "reason": outcome.result.detail.get("certify_reason", ""),
                 }
-                system = None
-            if system is not None:
-                from repro.certs import validate_result
+                for outcome in definitive
+            }
+            definitive = [o for o in definitive if _decides(o.result, True)]
 
-                for outcome in definitive:
-                    validation = validate_result(
-                        system, outcome.result, timeout=self.timeout
-                    )
-                    certification[outcome.label] = {
-                        "claimed": outcome.result.status,
-                        "certified": validation.ok,
-                        "reason": validation.reason,
-                    }
-                    if validation.ok:
-                        certified.append(outcome)
-                detail["certification"] = certification
-                if winner_index is not None and outcomes[winner_index] not in certified:
-                    winner_index = None
-                definitive = certified
-
-        # cross-check: disagreeing definitive answers are adjudicated by
-        # validating the workers' certificates with the independent checker;
-        # only an undecidable disagreement remains a wrong result
-        statuses = {outcome.result.status for outcome in definitive}
-        if len(statuses) > 1:
+        # disagreeing definitive answers (cross-check, or two racers landing
+        # together) are adjudicated by validating the workers' certificates
+        # with the independent checker; only an undecidable disagreement
+        # remains a wrong result
+        winning = run.winner
+        if len({outcome.result.status for outcome in definitive}) > 1:
             detail["disagreement"] = {
                 outcome.label: outcome.result.status for outcome in definitive
             }
-            adjudicated = self._adjudicate(task, definitive, detail)
-            if adjudicated is not None:
-                winner_index = next(
-                    index for index, outcome in enumerate(outcomes) if outcome is adjudicated
-                )
-                definitive = [adjudicated]
-            else:
+            winning = self._adjudicate(task, definitive, detail)
+            if winning is None:
                 return PortfolioResult(
                     Status.WRONG,
-                    self._property_name(property_name, definitive),
+                    resolved_property,
                     runtime,
                     workers=outcomes,
                     detail=detail,
@@ -1232,64 +1004,44 @@ class PortfolioRunner:
                     ),
                 )
 
-        if winner_index is None and definitive:
-            # cross-check mode: the earliest definitive finisher is the winner
-            winner_index = min(
-                (index for index, outcome in enumerate(outcomes) if outcome in definitive),
-                key=lambda index: outcomes[index].runtime,
-            )
-
-        if winner_index is not None:
-            winning = outcomes[winner_index]
-            result = winning.result
-            assert result is not None
-            status = result.status
-            reason = result.reason
-            if "adjudication" in detail:
-                reason = (
-                    f"cross-check disagreement adjudicated by certificate "
-                    f"validation in favour of {winning.label}"
-                )
-            if self.expected is not None and status != self.expected:
-                detail["expected"] = self.expected
-                detail["claimed"] = status
-                status = Status.WRONG
-                reason = (
-                    f"{winning.label} claimed {result.status!r} but the benchmark "
-                    f"is known {self.expected!r}"
-                )
+        if winning is None:
             return PortfolioResult(
-                status,
-                result.property_name,
+                run.status,
+                resolved_property,
                 runtime,
-                winner=winning.label,
-                winner_engine=winning.engine,
-                counterexample=result.counterexample,
                 workers=outcomes,
-                detail={**detail, **{f"winner_{k}": v for k, v in result.detail.items()}},
-                reason=reason,
-                certificate=result.certificate,
+                detail=detail,
+                reason="no portfolio configuration reached a definitive answer",
             )
 
-        # no definitive answer: summarize the failure categories
-        finished = [outcome for outcome in outcomes if outcome.result is not None]
-        statuses = [outcome.result.status for outcome in finished]
-        if any(status == Status.UNKNOWN for status in statuses):
-            status = Status.UNKNOWN
-        elif statuses and all(status == Status.ERROR for status in statuses):
-            status = Status.ERROR
-        elif not statuses and any(outcome.state == CRASHED for outcome in outcomes):
-            # every worker died without reporting: a crash, not a timeout
-            status = Status.ERROR
-        else:
-            status = Status.TIMEOUT
+        result = winning.result
+        assert result is not None
+        status = result.status
+        reason = result.reason
+        if "adjudication" in detail:
+            reason = (
+                f"cross-check disagreement adjudicated by certificate "
+                f"validation in favour of {winning.label}"
+            )
+        if self.expected is not None and status != self.expected:
+            detail["expected"] = self.expected
+            detail["claimed"] = status
+            status = Status.WRONG
+            reason = (
+                f"{winning.label} claimed {result.status!r} but the benchmark "
+                f"is known {self.expected!r}"
+            )
         return PortfolioResult(
             status,
-            self._property_name(property_name, finished),
+            result.property_name,
             runtime,
+            winner=winning.label,
+            winner_engine=winning.engine,
+            counterexample=result.counterexample,
             workers=outcomes,
-            detail=detail,
-            reason="no portfolio configuration reached a definitive answer",
+            detail={**detail, **{f"winner_{k}": v for k, v in result.detail.items()}},
+            reason=reason,
+            certificate=result.certificate,
         )
 
     def _adjudicate(
@@ -1334,22 +1086,3 @@ class PortfolioRunner:
             return None
         return min(validated, key=lambda outcome: outcome.runtime)
 
-    @staticmethod
-    def _property_name(
-        property_name: Optional[str], outcomes: Sequence[WorkerOutcome]
-    ) -> str:
-        if property_name:
-            return property_name
-        for outcome in outcomes:
-            if outcome.result is not None and outcome.result.property_name:
-                return outcome.result.property_name
-        return ""
-
-
-def run_portfolio(
-    task: VerificationTask,
-    property_name: Optional[str] = None,
-    **runner_options,
-) -> PortfolioResult:
-    """Convenience wrapper: build a :class:`PortfolioRunner` and run it once."""
-    return PortfolioRunner(**runner_options).run(task, property_name)

@@ -83,8 +83,8 @@ class VerificationResult:
     #: certificate for SAFE (see :mod:`repro.certs`)
     certificate: Optional[object] = None
     #: telemetry attached when recording is on: counter deltas for this
-    #: verify call, and — on supervised/portfolio results — the worker's
-    #: exported span subtree under the ``"trace"`` key
+    #: verify call (a worker's span subtree travels separately, over its
+    #: supervised result pipe)
     telemetry: Optional[Dict[str, object]] = None
 
     @property

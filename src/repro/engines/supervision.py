@@ -22,6 +22,7 @@ unhealthy) — a fault is never a silent skip.
 
 from __future__ import annotations
 
+import multiprocessing
 import signal
 import threading
 import time
@@ -84,6 +85,16 @@ def report_progress(**fields) -> None:
     except Exception:
         # a dead pipe must never crash the computation it reports on
         set_progress_sink(None)
+
+
+def default_context():
+    """The ``fork`` start method where available, else ``spawn``.
+
+    Under ``fork`` workers inherit the parent's pre-warmed template
+    libraries (and an installed fault plan) through copy-on-write memory.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 @dataclass(frozen=True)
@@ -347,7 +358,8 @@ class WorkerSupervisor:
         ``timed-out`` (retried under the remaining budget; the rejected
         value is kept as the unit's fallback answer if every retry fails).
         If spawning goes unhealthy, the remaining units run in-process
-        (``degraded`` state) so the map always completes.
+        (``degraded`` state) so the map always completes; their answers go
+        through ``accept`` too, but a rejection is only recorded.
 
         ``abort`` (a :class:`threading.Event`, settable from another thread)
         cancels the whole map cooperatively: at the next poll tick every
@@ -492,7 +504,10 @@ class WorkerSupervisor:
                         value = worker(payload)
                 else:
                     value = worker(payload)
-                record_attempt(index, DEGRADED)
+                # no retries in-process: a rejection is only recorded, and
+                # the answer stays the unit's value
+                rejection = accept(slot.payload, value) if accept is not None else None
+                record_attempt(index, DEGRADED, rejection or "")
                 end_attempt_span(index, DEGRADED)
                 finalize(index, DONE, value=value)
                 outcomes[index].degraded = True
@@ -612,7 +627,8 @@ class WorkerSupervisor:
 
             if degraded and pending and len(active) == 0:
                 # pool is gone: drain the queue in-process, sequentially
-                while pending:
+                # (an abort set by an answer stops the drain)
+                while pending and not (abort is not None and abort.is_set()):
                     run_degraded(pending.popleft())
                 continue
 

@@ -30,7 +30,9 @@ definitive verdicts are validated, minimized and stored.
 With ``--certify`` the final verdict's certificate (UNSAFE witness or SAFE
 invariant, see :mod:`repro.certs`) is validated by the independent checker
 and the per-obligation outcomes are printed; a definitive verdict whose
-certificate fails validation is demoted to WRONG.  ``--save-certificate``
+certificate fails validation is demoted to WRONG, and a WRONG verdict's
+certificate is checked too, to tell a wrong engine from a wrong
+expectation.  ``--save-certificate``
 writes the certificate JSON (witnesses additionally get an AIGER ``.cex``
 stimulus next to it).
 
@@ -49,12 +51,16 @@ from __future__ import annotations
 
 import argparse
 import os
-import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.benchmarks import BENCHMARKS, get_benchmark
-from repro.certs import Witness, dumps as certificate_dumps, validate_result
+from repro.certs import (
+    Witness,
+    dumps as certificate_dumps,
+    validate_certificate,
+    validate_result,
+)
 from repro.engines import (
     EngineOptionError,
     PortfolioResult,
@@ -219,15 +225,19 @@ def _certify(
     timeout: float,
     fast_replay: bool = False,
 ) -> str:
-    """Validate the final certificate; demote an unvalidated definitive verdict.
+    """Validate the result's certificate; demote an unvalidated definitive verdict.
 
     ``result`` is the engine or portfolio result carrying ``certificate``;
-    returns the (possibly demoted) final status.  With ``fast_replay``
+    returns the (possibly demoted) final status.  A WRONG verdict — a
+    definitive claim against the known expectation — is validated too when
+    it carries a certificate, so the report says whether the engine or the
+    expectation is wrong; it stays WRONG either way.  With ``fast_replay``
     witnesses are replayed through the bit-parallel simulator, gated by the
     validator's ``replay-crosscheck`` obligation against the scalar
     interpreter.
     """
-    if status not in Status.DEFINITIVE:
+    certificate = getattr(result, "certificate", None)
+    if status not in Status.DEFINITIVE and certificate is None:
         print("\ncertification: skipped (no definitive verdict)")
         return status
     try:
@@ -235,19 +245,32 @@ def _certify(
     except Exception as error:  # noqa: BLE001 - loader failures
         print(f"\ncertification: cannot reload {task.name!r}: {error}")
         return Status.WRONG
-    validation = validate_result(
-        system,
-        result,
-        timeout=timeout,
-        replay_backend="packed" if fast_replay else "scalar",
-    )
+    replay_backend = "packed" if fast_replay else "scalar"
+    if status in Status.DEFINITIVE:
+        validation = validate_result(
+            system, result, timeout=timeout, replay_backend=replay_backend
+        )
+    else:
+        # the status no longer names the claim: check the certificate itself
+        validation = validate_certificate(
+            system, certificate, timeout=timeout, replay_backend=replay_backend
+        )
     print("\ncertification:")
     for obligation in validation.obligations:
         note = f"  ({obligation.note})" if obligation.note else ""
         print(f"  {obligation.name:20s} {obligation.outcome}{note}")
     verdict = "VALIDATED" if validation.ok else "NOT VALIDATED"
     print(f"  -> {verdict} [{validation.kind}] in {validation.runtime:.3f}s: {validation.reason}")
-    return status if validation.ok else Status.WRONG
+    if status == Status.WRONG:
+        claim = Status.UNSAFE if isinstance(certificate, Witness) else Status.SAFE
+        print(
+            f"  -> the {claim} claim is certified: the expectation is wrong"
+            if validation.ok
+            else f"  -> the {claim} claim is not certified: the engine is wrong"
+        )
+    if status in Status.DEFINITIVE and not validation.ok:
+        return Status.WRONG
+    return status
 
 
 def _save_certificate(path: str, task: VerificationTask, result) -> None:
@@ -549,35 +572,27 @@ def _dispatch(parser: argparse.ArgumentParser, args, modes: List[str]) -> int:
             timeout=args.timeout,
             priors=learn_priors(),
         )
-        runner = PortfolioRunner(
-            ladder=ladder,
-            timeout=args.timeout,
-            max_workers=args.jobs,
-            expected=expected,
-            on_event=on_event,
-        )
-        schedule = " -> ".join(
-            f"[{', '.join(rung.labels)}]" for rung in ladder
-        )
+        schedule = {"ladder": ladder}
         _log.info(
-            f"budget ladder on {task.name!r} (timeout {args.timeout:g}s): {schedule}"
+            f"budget ladder on {task.name!r} (timeout {args.timeout:g}s): "
+            + " -> ".join(f"[{', '.join(rung.labels)}]" for rung in ladder)
         )
     else:
         configs = default_portfolio_configs(
             representations=representations, bound=args.bound
         )
-        runner = PortfolioRunner(
-            configs=configs,
-            timeout=args.timeout,
-            max_workers=args.jobs,
-            cross_check=args.cross_check,
-            expected=expected,
-            on_event=on_event,
-        )
+        schedule = {"configs": configs, "cross_check": args.cross_check}
         _log.info(
             f"racing {len(configs)} configurations on {task.name!r} "
             f"(timeout {args.timeout:g}s{', cross-check' if args.cross_check else ''})"
         )
+    runner = PortfolioRunner(
+        timeout=args.timeout,
+        max_workers=args.jobs,
+        expected=expected,
+        on_event=on_event,
+        **schedule,
+    )
     result = runner.run(task, args.property_name)
     _print_portfolio(result, verbose=args.verbose)
     if args.ladder:
@@ -769,7 +784,11 @@ def _run_batch(args, cache) -> int:
             wrong = True
         if status not in Status.DEFINITIVE and status != Status.WRONG:
             inconclusive = True
+        # the time column is the unit's wall time; a pool run's note adds
+        # the deciding engine's own time
         note = item.source
+        if item.source != "cache":
+            note += f" {item.runtime_s:.3f}s"
         if (
             cache is not None
             and status in Status.DEFINITIVE
@@ -787,7 +806,7 @@ def _run_batch(args, cache) -> int:
                 f" minimized {item.minimization['original_size']}"
                 f"->{item.minimization['size']}"
             )
-        print(_row(f"{item.design}:{item.property_name}", status, item.runtime_s, note))
+        print(_row(f"{item.design}:{item.property_name}", status, item.wall_s, note))
     print("-" * 64)
     print(
         f"{len(report.items)} items in {report.wall_s:.3f}s: "

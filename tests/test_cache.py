@@ -407,6 +407,29 @@ def test_verify_cli_batch_respects_property_scope(tmp_path, capsys):
     assert "1 items" in out
 
 
+def test_verify_cli_batch_time_column_is_the_unit_wall_time(capsys):
+    """The table's time is the unit's wall time; the engine's is in the note."""
+    from repro.tools.verify_cli import main
+
+    # the cheap rung probes buffalloc to its bound before a prover decides,
+    # so the unit's wall time far exceeds the deciding engine's own time
+    assert main(["buffalloc", "--batch", "--quiet", "--timeout", "90", "--bound", "40"]) == 0
+    row = next(
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("buffalloc:")
+    )
+    _, status, wall, engine, engine_time, *rest = row.split()
+    assert status == Status.SAFE and rest[:1] == ["rung"]
+    assert float(wall.rstrip("s")) > float(engine_time.rstrip("s"))
+
+    report = BatchRunner(timeout=90, bound=40, jobs=1).run([BatchItem.benchmark("buffalloc")])
+    item = report.items[0]
+    assert item.to_json()["wall_s"] == round(item.wall_s, 6)
+    attempts = item.supervision["attempts"]
+    assert item.wall_s == pytest.approx(sum(a["runtime_s"] for a in attempts))
+    assert item.wall_s > item.runtime_s
+
+
 def test_verify_cli_rejects_cross_check_with_ladder_or_batch(capsys):
     from repro.tools.verify_cli import main
 

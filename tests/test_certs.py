@@ -302,6 +302,24 @@ def test_cli_certify_demotes_unvalidated_verdict(capsys):
     assert "NOT VALIDATED" in out
 
 
+def test_cli_certify_validates_a_wrong_verdict(capsys):
+    """A WRONG verdict that carries a certificate is checked, not skipped."""
+    from repro.tools.verify_cli import main
+
+    # bmc's daio witness is genuine: the (deliberately false) expectation
+    # is what is wrong, and the verdict stays WRONG
+    argv = ["daio", "--engine", "bmc", "--bound", "80", "--expected", "safe", "--certify"]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert "skipped" not in out
+    assert "violation-reached" in out and "-> VALIDATED" in out
+    assert "the expectation is wrong" in out
+    # the oracle's forged SAFE invariant on the unsafe daio: the engine is
+    assert main(["daio", "--engine", "oracle", "--timeout", "10", "--certify"]) == 2
+    out = capsys.readouterr().out
+    assert "NOT VALIDATED" in out and "the engine is wrong" in out
+
+
 def test_cli_saves_certificate_and_stimulus(tmp_path, capsys):
     from repro.tools.verify_cli import main
 

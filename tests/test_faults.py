@@ -11,7 +11,12 @@ from repro.benchmarks import get_benchmark
 from repro.cache import QUARANTINE_DIR, ResultCache
 from repro.engines import Status, VerificationTask, make_engine
 from repro.engines.batch import BatchItem, BatchRunner
-from repro.engines.portfolio import PortfolioConfig, PortfolioRunner, learn_priors
+from repro.engines.portfolio import (
+    PortfolioConfig,
+    PortfolioRunner,
+    default_budget_ladder,
+    learn_priors,
+)
 from repro.engines.supervision import RetryPolicy, WorkerSupervisor
 from repro.faults import (
     CERT_FORGE,
@@ -210,6 +215,21 @@ def test_portfolio_worker_kill_is_retried_then_wins():
     assert result.winner_engine == "bmc"
     assert result.workers[0].attempts == 2
     assert result.detail["supervision"]["retries"] >= 1
+    assert not multiprocessing.active_children()
+
+
+def test_ladder_worker_kill_in_a_raced_rung_is_retried():
+    with plan_installed(FaultPlan(seed=0, rates={WORKER_KILL: 1.0})):
+        runner = PortfolioRunner(
+            ladder=default_budget_ladder(bound=80, timeout=60),
+            timeout=60,
+            max_workers=2,
+        )
+        result = runner.run(VerificationTask.benchmark("daio"))
+    assert result.status == Status.UNSAFE
+    assert result.detail["ladder"]["decided_rung"] == 0
+    assert result.detail["supervision"]["retries"] >= 1
+    assert result.worker(result.winner).attempts == 2  # killed, then won
     assert not multiprocessing.active_children()
 
 

@@ -1,11 +1,13 @@
 """End-to-end engine verdicts and the process-based portfolio runner."""
 
+import multiprocessing
 import time
 
 import pytest
 
 from repro.benchmarks import get_benchmark, load_system
 from repro.engines import (
+    LadderRung,
     PortfolioConfig,
     PortfolioRunner,
     Status,
@@ -101,6 +103,23 @@ def test_portfolio_proves_safe_design():
     assert result.winner is not None
     winning = result.worker(result.winner)
     assert winning.result.status == Status.SAFE
+
+
+@pytest.mark.parametrize("design", ["daio", "buffalloc"])
+def test_fanout_is_a_one_rung_ladder(design):
+    # a fast refuter, a fast prover and a slow prover: one clear winner each
+    configs = [
+        PortfolioConfig.of("bmc", max_bound=80),
+        PortfolioConfig.of("k-induction", max_k=80),
+        PortfolioConfig.of("pdr", max_frames=80),
+    ]
+    task = VerificationTask.benchmark(design)
+    fanout = PortfolioRunner(configs=configs, timeout=120).run(task)
+    ladder = PortfolioRunner(ladder=[LadderRung(tuple(configs))], timeout=120).run(task)
+    assert fanout.status == ladder.status == get_benchmark(design).expected
+    assert fanout.winner_engine == ladder.winner_engine
+    assert fanout.detail["ladder"]["decided_rung"] == 0
+    assert not multiprocessing.active_children()
 
 
 def test_portfolio_timeout_aggregation():
