@@ -285,14 +285,14 @@ MIN_RUNG_BUDGET = 0.5
 def learn_priors(paths: Optional[Sequence[str]] = None) -> Dict[str, Dict[str, float]]:
     """Learn engine priors from past ``BENCH_*.json`` reports.
 
-    Scans benchmark reports (portfolio singles, certification sweeps,
-    incremental verdict sweeps, serve sweeps) for per-engine run outcomes
-    and aggregates them into ``{engine: {runs, definitive_rate,
-    mean_runtime_s, score}}``.  ``score`` orders engines within a ladder
-    rung — lower is better: historically fast engines that actually reach
-    verdicts launch first.  Missing or unreadable reports contribute
-    nothing; with no data the returned dict is empty and the ladder keeps
-    registration order.
+    Every ``repro-bench`` report holds one flat ``rows`` list; a row that
+    records a production-path engine run carries ``engine``, ``status`` and
+    ``runtime_s``, and those rows are aggregated into ``{engine: {runs,
+    definitive_rate, mean_runtime_s, score}}``.  ``score`` orders engines
+    within a ladder rung — lower is better: historically fast engines that
+    actually reach verdicts launch first.  Missing or unreadable reports
+    contribute nothing; with no data the returned dict is empty and the
+    ladder keeps registration order.
     """
     import glob as glob_module
     import json
@@ -303,11 +303,11 @@ def learn_priors(paths: Optional[Sequence[str]] = None) -> Dict[str, Dict[str, f
 
     from repro.engines.registry import ENGINE_REGISTRY
 
-    def record(engine: str, runtime: object, status: object) -> None:
-        if not isinstance(runtime, (int, float)):
+    def record(engine: object, runtime: object, status: object) -> None:
+        if engine is None or status is None or not isinstance(runtime, (int, float)):
             return
-        engine = str(engine).split("[", 1)[0]
-        # canonicalize through the registry: batch sweeps record the engine
+        engine = str(engine)
+        # canonicalize through the registry: batch results record the engine
         # *class* name ("abstract-interpretation"), ladder configs look
         # priors up by registry name ("absint") — both must hit one bucket
         registration = ENGINE_REGISTRY.get(engine)
@@ -335,26 +335,11 @@ def learn_priors(paths: Optional[Sequence[str]] = None) -> Dict[str, Dict[str, f
                 stacklevel=2,
             )
             continue
-        # a torn or hand-mangled report may hold any shape under these
-        # keys; one bad report must not poison prior learning for the rest
+        # a torn or hand-mangled report may hold any shape under its rows;
+        # one bad report must not poison prior learning for the rest
         try:
-            for row in report.get("portfolio", []) or []:
-                for label, single in (row.get("singles") or {}).items():
-                    record(label, single.get("runtime_s"), single.get("status"))
-            for row in report.get("certification", []) or []:
-                for engine, outcome in (row.get("engines") or {}).items():
-                    record(engine, outcome.get("runtime_s"), outcome.get("status"))
-            for row in report.get("verdict_sweep", []) or []:
-                for engine, outcome in (row.get("engines") or {}).items():
-                    session = outcome.get("session") or {}
-                    record(engine, session.get("runtime_s"), session.get("status"))
-            sweeps = report.get("sweeps") or {}
-            for sweep in sweeps.values():
-                for item in (sweep or {}).get("items", []) or []:
-                    engine = str(item.get("source", ""))
-                    if engine.startswith("cache"):
-                        continue
-                    record(engine, item.get("runtime_s"), item.get("status"))
+            for row in report.get("rows") or []:
+                record(row.get("engine"), row.get("runtime_s"), row.get("status"))
         except (AttributeError, TypeError, ValueError) as error:
             warnings.warn(
                 f"learn_priors: skipping malformed benchmark report "

@@ -1,6 +1,9 @@
-"""Tool façades: the verification tools compared in the paper.
+"""Command-line tools and the façades of the verification tools in the paper.
 
-Each "tool" is a named configuration of one of the engines in
+The CLIs (``repro-verify``, ``repro-bench``, ``repro-serve``, ...) live in
+the ``*_cli`` modules and :mod:`repro.tools.bench`.  The tool catalog,
+:mod:`repro.tools.catalog`, is imported on demand, not by this package.
+Each catalog "tool" is a named configuration of one of the engines in
 :mod:`repro.engines`, matching the representation level and algorithm of the
 corresponding tool in the paper's evaluation (Figures 3–5):
 
@@ -28,8 +31,3 @@ limited bit-vector support and reproduces the *wrong results* the paper
 reports for them on bit-manipulating designs, without making the underlying
 engines unsound.
 """
-
-from repro.tools.catalog import TOOLS, ToolConfig, available_tools, run_tool
-from repro.tools.approximations import havoc_bitlevel_ops
-
-__all__ = ["TOOLS", "ToolConfig", "available_tools", "run_tool", "havoc_bitlevel_ops"]

@@ -1,104 +1,34 @@
-"""Benchmarking harness for the template-unrolling subsystem.
+"""``repro-bench``: the benchmark harness (``python -m repro.tools.bench``).
 
-Run with ``python -m repro.tools.bench`` (or the ``repro-bench`` console
-script).  For each selected benchmark the harness unrolls BMC to a fixed
-depth twice — once through the :class:`repro.engines.encoding.FrameTemplate`
-fast path and once through the legacy per-frame re-blast
-(``incremental_template=False``) — timing the *encode* phase (transition /
-property instantiation) separately from the *solve* phase (the SAT checks),
-and asserting that the two paths return identical verdicts.  A second section
-runs the unbounded engines (k-induction, interpolation, kIkI, PDR) end to end
-on both paths.
+Every mode writes one report shape through :func:`write_report`::
 
-Results are written to ``BENCH_unroll.json`` so that successive performance
-PRs have a trajectory to compare against: the ``summary`` section records the
-per-benchmark encode+solve speedups, the count of benchmarks at or above the
-3x target, and whether every verdict pair matched.
+    {"config":  {"mode": ..., the run's parameters, python, platform, cpus},
+     "rows":    [{"section": ..., ...}, ...],
+     "gates":   {name: {"ok": bool, observed..., threshold...}},
+     "summary": {headline numbers}}
 
-``--portfolio`` switches the harness into portfolio mode: every default
-portfolio configuration is first timed *individually* on each design, then
-the process-parallel :class:`repro.engines.portfolio.PortfolioRunner` races
-them, and ``BENCH_portfolio.json`` records the portfolio wall-clock against
-the fastest and slowest *winning* single engine per design.
-
-``--certify`` switches into certification mode: every engine of the zoo runs
-on every suite design, each definitive verdict's certificate (UNSAFE witness
-/ SAFE invariant, see :mod:`repro.certs`) is validated by the independent
-checker, and a cross-check portfolio with an injected wrong-verdict engine
-demonstrates certificate-based adjudication.  ``BENCH_certify.json`` records
-the per-design validation statistics; the run fails unless every definitive
-verdict is correct *and* independently validated.
-
-``--incremental`` measures the persistent solver sessions: k-induction is
-profiled bound by bound (per-bound wall clock and ``SolverStats`` deltas) in
-three modes — **session** (one persistent solver, templates), **template**
-(template stamping but a fresh solver per bound) and **legacy** (fresh
-solver, per-frame re-blast) — kIkI is timed end to end in the same modes, and
-a verdict sweep runs the converted engines on all suite designs with
-``persistent_session`` on and off.  ``BENCH_incremental.json`` records the
-speedups; the run fails on any session-vs-legacy verdict mismatch.  By
-default the per-bound rows are aggregated into compact per-design summaries;
-``--full`` keeps the raw per-bound data (``--summary`` spells the default
-explicitly).
-
-``--serve`` measures the query-serving hot path: the whole suite is swept
-twice through the :class:`repro.engines.batch.BatchRunner` against one
-certificate cache — the cold pass runs the sequential budget ladder per item
-and fills the cache, the warm pass must be answered entirely by re-validated
-cache hits — then the budget-ladder scheduler is raced against the
-all-at-once fan-out (wall and total worker CPU), and SAFE certificates are
-minimized with before/after validation timings.  ``BENCH_serve.json`` gates
-on: 100 % cold/warm verdict agreement, an all-hit warm sweep at >= 3x the
-cold wall clock, ladder CPU <= fan-out CPU wherever a cheap rung decides,
-and minimized certificates validating no slower than their originals.
-
-``--faults`` runs the chaos harness: seeded :class:`repro.faults.FaultPlan`
-sweeps inject worker kills, exception crashes, SAT-search wedges, spawn
-failures, forged certificates and cache tampering into certified batch runs
-(``--seeds`` controls how many).  ``BENCH_faults.json`` gates on: every
-sweep ends with a definitive, independently validated verdict per item
-(zero WRONGs), no leaked worker processes, ``fsck`` heals every tampered
-cache, and a hang wedged into an in-process SAT solve is broken by the
-cooperative deadline without killing the process.
-
-``--serve-soak`` soaks a *live* ``repro-serve`` server (a subprocess in its
-own process group) with the chaos plan installed server-side: K identical
-concurrent queries must coalesce to exactly one computation, warm hits are
-latency-sampled (p50 recorded), an over-capacity flood must draw explicit
-``overloaded`` rejections, seeded client disconnects and a too-tight
-deadline must resolve cleanly, and a graceful drain must leave the journal
-empty, the trace lint-clean and the process group extinct.  The server is
-then SIGKILLed mid-flight and restarted on the same journal, which must
-NACK every accepted-but-unanswered request.  ``BENCH_server.json`` gates on
-all of it: every accept answered-or-cleanly-rejected, zero WRONG verdicts,
-zero leaked processes, zero orphan spans, full journal recovery.
-
-``--kernels`` measures the raw-speed replay tiers: per design, one random
-workload (``--lanes`` sequences x ``--cycles`` cycles) is replayed through
-the scalar reference interpreter, the bit-parallel packed simulator
-(:mod:`repro.netlist.bitsim`) and the compiled C kernel
-(:mod:`repro.kernels`), with input marshalling excluded from the timed
-region so the numbers compare steady-state stepping throughput.
-``BENCH_kernels.json`` gates on: packed >= ``--packed-gate`` x scalar on at
-least 3 designs, compiled >= ``--kernel-gate`` x packed on at least 3
-designs (waived when no C compiler is available), 100 % verdict agreement
-between :func:`repro.kernels.checked_replay` and the scalar reference, and
-the rsim falsifier finding and packed-validating a witness on every unsafe
-suite design.
+``rows`` is one flat list; each row names its ``section``.  A mode's
+pass/fail lives only in its judge, a pure function of ``config`` and
+``rows`` that returns the named gates, and the exit status is 0 exactly
+when every gate is ok.  A row that records a production-path engine run
+carries ``engine``, ``status`` and ``runtime_s``;
+:func:`repro.engines.portfolio.learn_priors` learns the ladder priors from
+those rows and from nothing else.  The modes, their workloads and their
+gates are described in the README section "Benchmarks: ``repro-bench``".
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import platform
 import time
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.benchmarks import benchmark_names, get_benchmark
 from repro.certs import validate_result
-from repro.engines.bmc import BMCEngine
 from repro.engines.encoding import FrameEncoder
 from repro.engines.interpolation import InterpolationEngine
 from repro.engines.kiki import KikiEngine
@@ -138,6 +68,56 @@ ENGINE_FACTORIES = {
     ),
     "pdr": lambda system, template: PDREngine(system, incremental_template=template),
 }
+
+
+# ---------------------------------------------------------------------------
+# the report schema
+# ---------------------------------------------------------------------------
+
+
+def gate(ok: object, **observed: object) -> Dict[str, object]:
+    """One named pass/fail condition: ``{"ok": bool, observed..., threshold...}``."""
+    return {"ok": bool(ok), **observed}
+
+
+def section(rows: List[Dict], name: str) -> List[Dict]:
+    """The rows of one section, in report order."""
+    return [row for row in rows if row["section"] == name]
+
+
+def write_report(
+    out: str,
+    mode: str,
+    config: Dict[str, object],
+    rows: List[Dict],
+    gates: Dict[str, Dict[str, object]],
+    summary: Dict[str, object],
+) -> bool:
+    """Write ``{config, rows, gates, summary}`` to ``out``; True when every gate is ok."""
+    report = {
+        "config": {
+            "mode": mode,
+            **config,
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+            "cpus": os.cpu_count(),
+        },
+        "rows": rows,
+        "gates": gates,
+        "summary": summary,
+    }
+    write_json_atomic(out, report)
+    failed = [name for name, outcome in gates.items() if not outcome["ok"]]
+    print(
+        f"\nwrote {out}: {mode} {len(gates) - len(failed)}/{len(gates)} gates ok"
+        + (f", FAILED: {', '.join(failed)}" if failed else "")
+    )
+    return not failed
+
+
+# ---------------------------------------------------------------------------
+# unroll mode (the default): template vs legacy unrolling
+# ---------------------------------------------------------------------------
 
 
 def profile_bmc_unroll(
@@ -225,6 +205,7 @@ def run_bmc_section(
             legacy["encode_s"] + legacy["solve_s"]
         ) / max(1e-9, template["encode_s"] + template["solve_s"])
         row = {
+            "section": "bmc_unroll",
             "benchmark": name,
             "representation": representation,
             "depth": depth,
@@ -266,6 +247,7 @@ def run_engine_section(names: List[str], engines: List[str], timeout: float) -> 
                 1e-9, outcomes["template"]["runtime_s"]
             )
             row = {
+                "section": "engine_unroll",
                 "engine": engine_name,
                 "benchmark": name,
                 "representation": "word",
@@ -286,20 +268,57 @@ def run_engine_section(names: List[str], engines: List[str], timeout: float) -> 
     return rows
 
 
-def run_portfolio_section(
-    names: List[str],
-    bound: int,
-    timeout: float,
-    jobs: Optional[int] = None,
-) -> List[Dict]:
+def run_unroll(args, depth: int, names: List[str]) -> Tuple[Dict, List[Dict]]:
+    rows = run_bmc_section(
+        names, depth, args.representation, repeats=max(1, args.repeats)
+    )
+    if not args.skip_engines:
+        rows += run_engine_section(
+            args.engine_benchmarks or DEFAULT_ENGINE_BENCHMARKS,
+            args.engines,
+            args.timeout,
+        )
+    return {"depth": depth, "representation": args.representation}, rows
+
+
+def judge_unroll(config: Dict, rows: List[Dict]) -> Tuple[Dict, Dict]:
+    speedups = {
+        row["benchmark"]: row["encode_solve_speedup"]
+        for row in section(rows, "bmc_unroll")
+    }
+    gates = {"verdicts_match": _verdicts_match_gate(rows)}
+    summary = {
+        "bmc_encode_solve_speedups": speedups,
+        "benchmarks_at_or_above_3x": sum(1 for s in speedups.values() if s >= 3.0),
+    }
+    return gates, summary
+
+
+def _verdicts_match_gate(rows: List[Dict]) -> Dict[str, object]:
+    """Every row's ``verdicts_match`` holds; names the rows where it does not."""
+    mismatched = [
+        f"{row['section']}:{row['benchmark']}"
+        + (f":{row['engine']}" if "engine" in row else "")
+        for row in rows
+        if "verdicts_match" in row and not row["verdicts_match"]
+    ]
+    return gate(not mismatched, mismatched=mismatched)
+
+
+# ---------------------------------------------------------------------------
+# portfolio mode (--portfolio): the portfolio vs individually timed engines
+# ---------------------------------------------------------------------------
+
+
+def run_portfolio(args, depth: int, names: List[str]) -> Tuple[Dict, List[Dict]]:
     """Portfolio wall-clock vs. individually-timed single engines per design."""
-    configs = default_portfolio_configs(bound=bound)
+    configs = default_portfolio_configs(bound=depth)
     rows = []
     for name in names:
         benchmark = get_benchmark(name)
         expected = benchmark.expected
 
-        singles: Dict[str, Dict[str, object]] = {}
+        singles = []
         for config in configs:
             system = benchmark.load()
             t0 = time.monotonic()
@@ -308,102 +327,82 @@ def run_portfolio_section(
                 system,
                 ignore_unknown_options=True,
                 **config.options_dict,
-            ).verify(timeout=timeout)
-            singles[config.label] = {
+            ).verify(timeout=args.timeout)
+            singles.append({
+                "section": "single",
+                "benchmark": name,
+                "engine": config.engine,
+                "config": config.label,
                 "status": result.status,
                 "runtime_s": round(time.monotonic() - t0, 6),
                 "correct": result.status == expected,
                 "solver_stats": result.detail.get("solver_stats"),
-            }
+            })
 
         runner = PortfolioRunner(
-            configs=configs, timeout=timeout, max_workers=jobs, expected=expected
+            configs=configs, timeout=args.timeout, max_workers=args.jobs,
+            expected=expected,
         )
         portfolio = runner.run(VerificationTask.benchmark(name))
 
-        winners = {
-            label: row for label, row in singles.items() if row["correct"]
-        }
-        best_single = min(
-            (row["runtime_s"] for row in winners.values()), default=None
-        )
-        slowest_winning = max(
-            (row["runtime_s"] for row in winners.values()), default=None
-        )
-        within_slowest = (
-            slowest_winning is not None and portfolio.runtime <= slowest_winning
-        )
+        winning = [row["runtime_s"] for row in singles if row["correct"]]
+        best_single = min(winning, default=None)
+        slowest_winning = max(winning, default=None)
         row = {
+            "section": "portfolio",
             "benchmark": name,
             "expected": expected,
-            "portfolio": {
-                "status": portfolio.status,
-                "winner": portfolio.winner,
-                "wall_s": round(portfolio.runtime, 6),
-                "workers": {
-                    outcome.label: outcome.status for outcome in portfolio.workers
-                },
-                "correct": portfolio.status == expected,
-                "winner_solver_stats": portfolio.detail.get("winner_solver_stats"),
+            "status": portfolio.status,
+            "winner": portfolio.winner,
+            "wall_s": round(portfolio.runtime, 6),
+            "workers": {
+                outcome.label: outcome.status for outcome in portfolio.workers
             },
-            "singles": singles,
+            "correct": portfolio.status == expected,
+            "winner_solver_stats": portfolio.detail.get("winner_solver_stats"),
             "best_single_s": best_single,
             "slowest_winning_single_s": slowest_winning,
-            "portfolio_within_slowest_winning": within_slowest,
-            "portfolio_vs_best_single": (
-                round(portfolio.runtime / best_single, 2)
-                if best_single
-                else None
+            "within_slowest_winning": (
+                slowest_winning is not None and portfolio.runtime <= slowest_winning
+            ),
+            "vs_best_single": (
+                round(portfolio.runtime / best_single, 2) if best_single else None
             ),
         }
-        rows.append(row)
+        rows += singles + [row]
         _log.info(
             f"pfl {name:12s} portfolio={portfolio.runtime:.3f}s/{portfolio.status} "
             f"winner={portfolio.winner} best_single={best_single} "
             f"slowest_winning={slowest_winning} "
-            f"{'OK' if row['portfolio']['correct'] else 'WRONG'}"
+            f"{'OK' if row['correct'] else 'WRONG'}"
         )
-    return rows
+    return {"depth": depth, "timeout_s": args.timeout}, rows
 
 
-def write_portfolio_report(rows: List[Dict], out: str, depth: int, timeout: float) -> bool:
-    """Write ``BENCH_portfolio.json``; returns True when all verdicts are correct."""
-    all_correct = all(row["portfolio"]["correct"] for row in rows)
-    report = {
-        "meta": {
-            "tool": "repro.tools.bench --portfolio",
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "cpus": os.cpu_count(),
-            "depth": depth,
-            "timeout_s": timeout,
-        },
-        "portfolio": rows,
-        "summary": {
-            "designs": len(rows),
-            "all_verdicts_correct": all_correct,
-            "designs_within_slowest_winning_single": sum(
-                1 for row in rows if row["portfolio_within_slowest_winning"]
-            ),
-            "portfolio_vs_best_single": {
-                row["benchmark"]: row["portfolio_vs_best_single"] for row in rows
-            },
+def judge_portfolio(config: Dict, rows: List[Dict]) -> Tuple[Dict, Dict]:
+    portfolios = section(rows, "portfolio")
+    wrong = [row["benchmark"] for row in portfolios if not row["correct"]]
+    gates = {"portfolio_verdicts_correct": gate(not wrong, wrong=wrong)}
+    summary = {
+        "designs": len(portfolios),
+        "designs_within_slowest_winning_single": sum(
+            1 for row in portfolios if row["within_slowest_winning"]
+        ),
+        "portfolio_vs_best_single": {
+            row["benchmark"]: row["vs_best_single"] for row in portfolios
         },
     }
-    write_json_atomic(out, report)
-    print(
-        f"\nwrote {out}: "
-        f"{report['summary']['designs_within_slowest_winning_single']}/{len(rows)} designs "
-        f"with portfolio <= slowest winning single, verdicts "
-        f"{'all correct' if all_correct else 'WRONG'}"
-    )
-    return all_correct
+    return gates, summary
 
 
-def run_certify_section(
-    names: List[str], bound: int, timeout: float
-) -> List[Dict]:
-    """Run every paper engine on every design and validate each certificate."""
+# ---------------------------------------------------------------------------
+# certification mode (--certify): validate every definitive verdict
+# ---------------------------------------------------------------------------
+
+
+def run_certify(args, bound: int, names: List[str]) -> Tuple[Dict, List[Dict]]:
+    """Run every paper engine on every design and validate each certificate,
+    then demo certificate-based adjudication against an injected liar."""
     engines = [
         registration.name
         for registration in list_engines()
@@ -413,9 +412,14 @@ def run_certify_section(
     for name in names:
         benchmark = get_benchmark(name)
         expected = benchmark.expected
-        engine_rows: Dict[str, Dict[str, object]] = {}
         for engine_name in engines:
             system = benchmark.load()
+            row: Dict[str, object] = {
+                "section": "certify",
+                "benchmark": name,
+                "expected": expected,
+                "engine": engine_name,
+            }
             t0 = time.monotonic()
             try:
                 result = make_engine(
@@ -423,81 +427,95 @@ def run_certify_section(
                     system,
                     ignore_unknown_options=True,
                     **bound_options(bound),
-                ).verify(timeout=timeout)
+                ).verify(timeout=args.timeout)
             except Exception as error:  # noqa: BLE001 - crash category
-                engine_rows[engine_name] = {
-                    "status": Status.ERROR,
-                    "runtime_s": round(time.monotonic() - t0, 6),
-                    "reason": f"{type(error).__name__}: {error}",
-                }
+                row["status"] = Status.ERROR
+                row["runtime_s"] = round(time.monotonic() - t0, 6)
+                row["reason"] = f"{type(error).__name__}: {error}"
+                rows.append(row)
                 continue
-            row: Dict[str, object] = {
-                "status": result.status,
-                "runtime_s": round(time.monotonic() - t0, 6),
-                "solver_stats": result.detail.get("solver_stats"),
-            }
+            row["status"] = result.status
+            row["runtime_s"] = round(time.monotonic() - t0, 6)
+            row["solver_stats"] = result.detail.get("solver_stats")
             if result.is_definitive:
                 row["correct"] = result.status == expected
-                validation = validate_result(system, result, timeout=timeout)
+                validation = validate_result(system, result, timeout=args.timeout)
                 row["certificate"] = getattr(result.certificate, "kind", None)
                 row["certified"] = validation.ok
                 row["validate_s"] = round(validation.runtime, 6)
                 if not validation.ok:
                     row["validation_reason"] = validation.reason
-            engine_rows[engine_name] = row
-        definitive = {
-            engine: row for engine, row in engine_rows.items() if "certified" in row
-        }
-        certified = sum(1 for row in definitive.values() if row["certified"])
-        correct = sum(1 for row in definitive.values() if row["correct"])
-        rows.append(
-            {
-                "benchmark": name,
-                "expected": expected,
-                "engines": engine_rows,
-                "definitive": len(definitive),
-                "correct": correct,
-                "certified": certified,
-            }
-        )
+            rows.append(row)
+        definitive = [
+            row for row in rows if row["benchmark"] == name and "certified" in row
+        ]
         _log.info(
             f"cert {name:12s} definitive={len(definitive)}/{len(engines)} "
-            f"correct={correct} certified={certified} "
-            f"{'OK' if certified == len(definitive) == correct else 'FAIL'}"
+            f"correct={sum(1 for row in definitive if row['correct'])} "
+            f"certified={sum(1 for row in definitive if row['certified'])}"
         )
-    return rows
-
-
-def run_adjudication_demo(design: str, bound: int, timeout: float) -> Dict[str, object]:
-    """Cross-check portfolio with an injected wrong-verdict engine.
-
-    The oracle claims the opposite of the known verdict with a forged
-    certificate; adjudication must side with the honest engines.
-    """
-    benchmark = get_benchmark(design)
-    expected = benchmark.expected
+    # inject the liar on the first unsafe design (fallback: the first)
+    demo = next(
+        (n for n in names if get_benchmark(n).expected == Status.UNSAFE), names[0]
+    )
+    expected = get_benchmark(demo).expected
     wrong_claim = Status.SAFE if expected == Status.UNSAFE else Status.UNSAFE
     configs = default_portfolio_configs(bound=bound) + [
         PortfolioConfig.of("oracle", claim=wrong_claim)
     ]
-    runner = PortfolioRunner(
-        configs=configs, timeout=timeout, cross_check=True, expected=expected
-    )
-    result = runner.run(VerificationTask.benchmark(design))
-    adjudicated = result.status == expected and "adjudication" in result.detail
-    _log.info(
-        f"adj  {design:12s} injected={wrong_claim} portfolio={result.status} "
-        f"winner={result.winner} {'OK' if adjudicated else 'FAIL'}"
-    )
-    return {
-        "benchmark": design,
+    result = PortfolioRunner(
+        configs=configs, timeout=args.timeout, cross_check=True, expected=expected
+    ).run(VerificationTask.benchmark(demo))
+    rows.append({
+        "section": "adjudication",
+        "benchmark": demo,
         "expected": expected,
         "injected_claim": wrong_claim,
         "status": result.status,
         "winner": result.winner,
         "adjudication": result.detail.get("adjudication"),
-        "adjudicated_correctly": adjudicated,
+    })
+    _log.info(
+        f"adj  {demo:12s} injected={wrong_claim} portfolio={result.status} "
+        f"winner={result.winner}"
+    )
+    return {"bound": bound, "timeout_s": args.timeout}, rows
+
+
+def judge_certify(config: Dict, rows: List[Dict]) -> Tuple[Dict, Dict]:
+    definitive = [row for row in section(rows, "certify") if "certified" in row]
+    wrong = [
+        f"{row['benchmark']}:{row['engine']}"
+        for row in definitive
+        if not row["correct"]
+    ]
+    unvalidated = [
+        f"{row['benchmark']}:{row['engine']}"
+        for row in definitive
+        if not row["certified"]
+    ]
+    demo = section(rows, "adjudication")
+    gates = {
+        "definitive_verdicts_correct": gate(not wrong, wrong=wrong),
+        "definitive_verdicts_validated": gate(not unvalidated, unvalidated=unvalidated),
+        # the cross-check must side with the honest engines, by adjudication
+        "adjudication": gate(
+            bool(demo)
+            and demo[0]["status"] == demo[0]["expected"]
+            and demo[0]["adjudication"] is not None
+        ),
     }
+    validated = len(definitive) - len(unvalidated)
+    summary = {
+        "designs": len({row["benchmark"] for row in section(rows, "certify")}),
+        "definitive_verdicts": len(definitive),
+        "correct_verdicts": len(definitive) - len(wrong),
+        "validated_certificates": validated,
+        "validation_rate": (
+            round(validated / len(definitive), 4) if definitive else None
+        ),
+    }
+    return gates, summary
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +539,20 @@ DEFAULT_INCREMENTAL_BENCHMARKS = ["daio", "tlc", "huffman_enc", "mac16"]
 SWEEP_ENGINES = ["bmc", "k-induction", "kiki", "interpolation", "predabs"]
 
 
+def _bound_summary(
+    bounds: int, wall_s: float, first: Dict[str, int], last: Dict[str, int]
+) -> Dict[str, object]:
+    """Bound count, summed per-bound wall clock and the solver work they added."""
+    return {
+        "bounds": bounds,
+        "wall_s": round(wall_s, 6),
+        **{
+            key: last.get(key, 0) - first.get(key, 0)
+            for key in ("conflicts", "propagations", "decisions")
+        },
+    }
+
+
 def profile_kinduction_incremental(
     system, property_name: Optional[str], depth: int, mode: str, timeout: float
 ) -> Dict[str, object]:
@@ -528,10 +560,8 @@ def profile_kinduction_incremental(
 
     Mirrors :class:`repro.engines.kinduction.KInductionEngine` exactly (same
     queries in the same order, through the engine's own session helpers) but
-    keeps a per-bound stopwatch and snapshots the ``SolverStats`` deltas each
-    bound contributes.
+    keeps a per-bound stopwatch and sums the ``SolverStats`` the bounds add.
     """
-    from repro.engines.kinduction import KInductionEngine
     from repro.engines.result import Budget
     from repro.sat.solver import SolverStats
 
@@ -559,8 +589,8 @@ def profile_kinduction_incremental(
     base = step = None
     if persistent:
         base, step = engine._fresh_pair(budget)
-    per_bound: List[Dict[str, object]] = []
-    previous = totals(base, step)
+    first = totals(base, step)
+    bounds, bound_wall = 0, 0.0
     verdict = "unknown"
     k_reached = depth
     for k in range(depth + 1):
@@ -593,21 +623,11 @@ def profile_kinduction_incremental(
                 concluded = ("timeout", k)
             elif persistent:
                 base.assert_trans(k)
-        wall = time.monotonic() - t0
-        current = totals(base, step)
-        deltas = {
-            key: (
-                max(previous.get(key, 0), value)
-                if key == "max_decision_level"
-                else value - previous.get(key, 0)
-            )
-            for key, value in current.items()
-        }
-        previous = current
-        per_bound.append({"k": k, "wall_s": round(wall, 6), "stats": deltas})
+        bounds, bound_wall = bounds + 1, bound_wall + time.monotonic() - t0
         if concluded is not None:
             verdict, k_reached = concluded
             break
+    summary = _bound_summary(bounds, bound_wall, first, totals(base, step))
     engine._retire_pair(base, step)
     return {
         "mode": mode,
@@ -615,7 +635,7 @@ def profile_kinduction_incremental(
         "k": k_reached,
         "total_s": round(time.monotonic() - start, 6),
         "solver_stats": engine._stats.as_dict(),
-        "per_bound": per_bound,
+        "per_bound_summary": summary,
     }
 
 
@@ -654,8 +674,8 @@ def profile_bmc_incremental(
         return encoder
 
     encoder = None
-    per_bound: List[Dict[str, object]] = []
-    previous = snapshot(None)
+    first = snapshot(None)
+    bounds, bound_wall = 0, 0.0
     verdict = "unknown"
     bound_reached = depth
     for bound in range(depth + 1):
@@ -683,20 +703,10 @@ def profile_bmc_incremental(
             bound_reached = bound
         elif persistent:
             encoder.assert_trans(bound)
-        wall = time.monotonic() - t0
-        current = snapshot(encoder)
-        deltas = {
-            key: (
-                max(previous.get(key, 0), value)
-                if key == "max_decision_level"
-                else value - previous.get(key, 0)
-            )
-            for key, value in current.items()
-        }
-        previous = current
-        per_bound.append({"bound": bound, "wall_s": round(wall, 6), "stats": deltas})
+        bounds, bound_wall = bounds + 1, bound_wall + time.monotonic() - t0
         if verdict != "unknown":
             break
+    summary = _bound_summary(bounds, bound_wall, first, snapshot(encoder))
     if encoder is not None:
         totals.add(encoder.solver.solver.stats)
     return {
@@ -705,141 +715,88 @@ def profile_bmc_incremental(
         "bound": bound_reached,
         "total_s": round(time.monotonic() - start, 6),
         "solver_stats": totals.as_dict(),
-        "per_bound": per_bound,
+        "per_bound_summary": summary,
     }
 
 
-def run_incremental_bmc_section(
-    names: List[str], depth: int, timeout: float
+def profile_kiki_incremental(
+    system, property_name: Optional[str], depth: int, mode: str, timeout: float
+) -> Dict[str, object]:
+    """Time kIkI end to end in one incremental mode."""
+    template, persistent = INCREMENTAL_MODES[mode]
+    t0 = time.monotonic()
+    result = KikiEngine(
+        system,
+        max_k=depth,
+        incremental_template=template,
+        persistent_session=persistent,
+    ).verify(timeout=timeout)
+    return {
+        "mode": mode,
+        "verdict": result.status,
+        "k": result.detail.get("k", result.detail.get("max_k")),
+        "total_s": round(time.monotonic() - t0, 6),
+        "solver_stats": result.detail.get("solver_stats"),
+    }
+
+
+#: section -> (profiler, the bound key its modes must agree on besides the
+#: verdict); kIkI's k may legitimately differ between lifecycles
+INCREMENTAL_PROFILES = {
+    "kinduction": (profile_kinduction_incremental, "k"),
+    "kiki": (profile_kiki_incremental, None),
+    "bmc": (profile_bmc_incremental, "bound"),
+}
+
+
+def run_incremental_section(
+    name: str, designs: List[str], depth: int, timeout: float
 ) -> List[Dict]:
+    """Profile one engine per design in every lifecycle of ``INCREMENTAL_MODES``."""
+    profile, bound_key = INCREMENTAL_PROFILES[name]
     rows = []
-    for name in names:
-        benchmark = get_benchmark(name)
-        modes: Dict[str, Dict[str, object]] = {}
-        for mode in INCREMENTAL_MODES:
-            system = benchmark.load()
-            modes[mode] = profile_bmc_incremental(system, None, depth, mode, timeout)
-        session_s = modes["session"]["total_s"]
+    for design in designs:
+        benchmark = get_benchmark(design)
+        modes = {
+            mode: profile(benchmark.load(), None, depth, mode, timeout)
+            for mode in INCREMENTAL_MODES
+        }
+        session_s = max(1e-9, modes["session"]["total_s"])
         row = {
-            "benchmark": name,
+            "section": name,
+            "benchmark": design,
             "depth": depth,
             "modes": modes,
             "speedup_session_vs_legacy": round(
-                modes["legacy"]["total_s"] / max(1e-9, session_s), 2
+                modes["legacy"]["total_s"] / session_s, 2
             ),
             "speedup_session_vs_template": round(
-                modes["template"]["total_s"] / max(1e-9, session_s), 2
+                modes["template"]["total_s"] / session_s, 2
             ),
             "verdicts_match": len(
-                {(m["verdict"], m["bound"]) for m in modes.values()}
+                {(m["verdict"], m.get(bound_key)) for m in modes.values()}
             ) == 1,
         }
         rows.append(row)
         _log.info(
-            f"bmc  {name:12s} depth={depth} "
-            f"session={modes['session']['total_s']:.3f}s "
-            f"template={modes['template']['total_s']:.3f}s "
-            f"legacy={modes['legacy']['total_s']:.3f}s "
-            f"speedup={row['speedup_session_vs_legacy']:.2f}x "
-            f"conflicts session/legacy="
-            f"{modes['session']['solver_stats']['conflicts']}/"
-            f"{modes['legacy']['solver_stats']['conflicts']} "
-            f"{'OK' if row['verdicts_match'] else 'MISMATCH'}"
-        )
-    return rows
-
-
-def run_incremental_kinduction_section(
-    names: List[str], depth: int, timeout: float
-) -> List[Dict]:
-    rows = []
-    for name in names:
-        benchmark = get_benchmark(name)
-        modes: Dict[str, Dict[str, object]] = {}
-        for mode in INCREMENTAL_MODES:
-            system = benchmark.load()
-            modes[mode] = profile_kinduction_incremental(
-                system, None, depth, mode, timeout
-            )
-        session_s = modes["session"]["total_s"]
-        row = {
-            "benchmark": name,
-            "depth": depth,
-            "modes": modes,
-            "speedup_session_vs_legacy": round(
-                modes["legacy"]["total_s"] / max(1e-9, session_s), 2
-            ),
-            "speedup_session_vs_template": round(
-                modes["template"]["total_s"] / max(1e-9, session_s), 2
-            ),
-            "verdicts_match": len(
-                {(m["verdict"], m["k"]) for m in modes.values()}
-            ) == 1,
-        }
-        rows.append(row)
-        _log.info(
-            f"kind {name:12s} depth={depth} "
-            f"session={modes['session']['total_s']:.3f}s "
-            f"template={modes['template']['total_s']:.3f}s "
-            f"legacy={modes['legacy']['total_s']:.3f}s "
-            f"speedup={row['speedup_session_vs_legacy']:.2f}x "
+            f"{name:10s} {design:12s} depth={depth} "
+            + " ".join(f"{mode}={m['total_s']:.3f}s" for mode, m in modes.items())
+            + f" speedup={row['speedup_session_vs_legacy']:.2f}x "
             f"verdict={modes['session']['verdict']} "
             f"{'OK' if row['verdicts_match'] else 'MISMATCH'}"
         )
     return rows
 
 
-def run_incremental_kiki_section(
-    names: List[str], depth: int, timeout: float
-) -> List[Dict]:
-    from repro.engines.kiki import KikiEngine
-
-    rows = []
-    for name in names:
-        benchmark = get_benchmark(name)
-        modes: Dict[str, Dict[str, object]] = {}
-        for mode, (template, persistent) in INCREMENTAL_MODES.items():
-            system = benchmark.load()
-            t0 = time.monotonic()
-            result = KikiEngine(
-                system,
-                max_k=depth,
-                incremental_template=template,
-                persistent_session=persistent,
-            ).verify(timeout=timeout)
-            modes[mode] = {
-                "status": result.status,
-                "k": result.detail.get("k", result.detail.get("max_k")),
-                "runtime_s": round(time.monotonic() - t0, 6),
-                "solver_stats": result.detail.get("solver_stats"),
-            }
-        session_s = modes["session"]["runtime_s"]
-        row = {
-            "benchmark": name,
-            "depth": depth,
-            "modes": modes,
-            "speedup_session_vs_legacy": round(
-                modes["legacy"]["runtime_s"] / max(1e-9, session_s), 2
-            ),
-            "verdicts_match": len({m["status"] for m in modes.values()}) == 1,
-        }
-        rows.append(row)
-        _log.info(
-            f"kiki {name:12s} depth={depth} "
-            f"session={modes['session']['runtime_s']:.3f}s "
-            f"legacy={modes['legacy']['runtime_s']:.3f}s "
-            f"speedup={row['speedup_session_vs_legacy']:.2f}x "
-            f"{'OK' if row['verdicts_match'] else 'MISMATCH'}"
-        )
-    return rows
-
-
 def run_incremental_sweep(bound: int, timeout: float) -> List[Dict]:
-    """Session vs legacy verdicts for every converted engine on every design."""
+    """Session vs legacy verdicts for every converted engine on every design.
+
+    The session run is the production path, so it is the row's engine run;
+    the legacy run is nested under ``legacy``.
+    """
     rows = []
     for name in benchmark_names():
         benchmark = get_benchmark(name)
-        engines: Dict[str, Dict[str, object]] = {}
         for engine_name in SWEEP_ENGINES:
             outcomes = {}
             for label, persistent in (("session", True), ("legacy", False)):
@@ -856,13 +813,18 @@ def run_incremental_sweep(bound: int, timeout: float) -> List[Dict]:
                     "status": result.status,
                     "runtime_s": round(time.monotonic() - t0, 6),
                 }
-            engines[engine_name] = {
-                **outcomes,
+            rows.append({
+                "section": "verdict_sweep",
+                "benchmark": name,
+                "engine": engine_name,
+                **outcomes["session"],
+                "legacy": outcomes["legacy"],
                 "verdicts_match": outcomes["session"]["status"]
                 == outcomes["legacy"]["status"],
-            }
-        matches = sum(1 for row in engines.values() if row["verdicts_match"])
-        rows.append({"benchmark": name, "engines": engines, "matches": matches})
+            })
+        matches = sum(
+            1 for row in rows if row["benchmark"] == name and row["verdicts_match"]
+        )
         _log.info(
             f"swp  {name:12s} {matches}/{len(SWEEP_ENGINES)} engines "
             f"session==legacy"
@@ -870,115 +832,41 @@ def run_incremental_sweep(bound: int, timeout: float) -> List[Dict]:
     return rows
 
 
-def write_incremental_report(
-    kind_rows: List[Dict],
-    kiki_rows: List[Dict],
-    bmc_rows: List[Dict],
-    sweep_rows: List[Dict],
-    out: str,
-    depth: int,
-    timeout: float,
-) -> bool:
-    """Write ``BENCH_incremental.json``; True when every verdict pair matched."""
-    all_match = (
-        all(row["verdicts_match"] for row in kind_rows + kiki_rows + bmc_rows)
-        and all(
-            engine["verdicts_match"]
-            for row in sweep_rows
-            for engine in row["engines"].values()
-        )
-    )
-    at_or_above_2x = sum(
-        1
-        for row in kind_rows + kiki_rows
-        if row["speedup_session_vs_legacy"] >= 2.0
-    )
-    conflict_rows = {
-        row["benchmark"]: {
-            "session": row["modes"]["session"]["solver_stats"]["conflicts"],
-            "legacy": row["modes"]["legacy"]["solver_stats"]["conflicts"],
+def run_incremental(args, depth: int, names: List[str]) -> Tuple[Dict, List[Dict]]:
+    rows = [
+        row
+        for name in INCREMENTAL_PROFILES
+        for row in run_incremental_section(name, names, depth, args.timeout)
+    ] + run_incremental_sweep(min(depth, 8), args.timeout)
+    return {"depth": depth, "timeout_s": args.timeout}, rows
+
+
+def judge_incremental(config: Dict, rows: List[Dict]) -> Tuple[Dict, Dict]:
+    def speedups(name: str) -> Dict[str, float]:
+        return {
+            row["benchmark"]: row["speedup_session_vs_legacy"]
+            for row in section(rows, name)
         }
-        for row in bmc_rows
-    }
-    report = {
-        "meta": {
-            "tool": "repro.tools.bench --incremental",
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "depth": depth,
-            "timeout_s": timeout,
-        },
-        "kinduction": kind_rows,
-        "kiki": kiki_rows,
-        "bmc": bmc_rows,
-        "verdict_sweep": sweep_rows,
-        "summary": {
-            "kinduction_speedups_session_vs_legacy": {
-                row["benchmark"]: row["speedup_session_vs_legacy"] for row in kind_rows
-            },
-            "kiki_speedups_session_vs_legacy": {
-                row["benchmark"]: row["speedup_session_vs_legacy"] for row in kiki_rows
-            },
-            "bmc_speedups_session_vs_legacy": {
-                row["benchmark"]: row["speedup_session_vs_legacy"] for row in bmc_rows
-            },
-            "runs_at_or_above_2x": at_or_above_2x,
-            "bmc_conflicts_session_vs_legacy": conflict_rows,
-            "all_verdicts_match": all_match,
-        },
-    }
-    write_json_atomic(out, report)
-    print(
-        f"\nwrote {out}: {at_or_above_2x}/{len(kind_rows) + len(kiki_rows)} "
-        f"engine runs at >=2x session-vs-legacy, verdicts "
-        f"{'all match' if all_match else 'MISMATCH'}"
-    )
-    return all_match
 
-
-def write_certify_report(
-    rows: List[Dict],
-    adjudication: Dict[str, object],
-    out: str,
-    bound: int,
-    timeout: float,
-) -> bool:
-    """Write ``BENCH_certify.json``; True when every definitive verdict validated."""
-    total_definitive = sum(row["definitive"] for row in rows)
-    total_certified = sum(row["certified"] for row in rows)
-    total_correct = sum(row["correct"] for row in rows)
-    all_validated = (
-        total_definitive == total_certified == total_correct
-        and bool(adjudication.get("adjudicated_correctly"))
-    )
-    report = {
-        "meta": {
-            "tool": "repro.tools.bench --certify",
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "bound": bound,
-            "timeout_s": timeout,
-        },
-        "certification": rows,
-        "adjudication": adjudication,
-        "summary": {
-            "designs": len(rows),
-            "definitive_verdicts": total_definitive,
-            "correct_verdicts": total_correct,
-            "validated_certificates": total_certified,
-            "validation_rate": (
-                round(total_certified / total_definitive, 4) if total_definitive else None
-            ),
-            "all_definitive_validated": all_validated,
+    gates = {"verdicts_match": _verdicts_match_gate(rows)}
+    summary = {
+        "kinduction_speedups_session_vs_legacy": speedups("kinduction"),
+        "kiki_speedups_session_vs_legacy": speedups("kiki"),
+        "bmc_speedups_session_vs_legacy": speedups("bmc"),
+        "runs_at_or_above_2x": sum(
+            1
+            for row in section(rows, "kinduction") + section(rows, "kiki")
+            if row["speedup_session_vs_legacy"] >= 2.0
+        ),
+        "bmc_conflicts_session_vs_legacy": {
+            row["benchmark"]: {
+                mode: row["modes"][mode]["solver_stats"]["conflicts"]
+                for mode in ("session", "legacy")
+            }
+            for row in section(rows, "bmc")
         },
     }
-    write_json_atomic(out, report)
-    print(
-        f"\nwrote {out}: {total_certified}/{total_definitive} definitive verdicts "
-        f"validated ({total_correct} correct), adjudication "
-        f"{'OK' if adjudication.get('adjudicated_correctly') else 'FAIL'}"
-    )
-    return all_validated
+    return gates, summary
 
 
 # ---------------------------------------------------------------------------
@@ -1008,55 +896,39 @@ def run_serve_sweeps(
     timeout: float,
     jobs: Optional[int],
     cache_dir: str,
-) -> Dict[str, object]:
-    """Sweep the suite twice against one cache: cold fills, warm must hit."""
+) -> List[Dict]:
+    """Sweep the suite twice against one cache: cold fills, warm must hit.
+
+    Each pass yields one ``sweep`` row and one ``sweep_item`` row per item;
+    an item the engines computed (not a cache hit) names its ``engine``.
+    """
     from repro.cache import ResultCache
     from repro.engines.batch import BatchItem, BatchRunner
 
     items = [BatchItem.benchmark(name) for name in names]
-    sweeps: Dict[str, Dict[str, object]] = {}
+    rows: List[Dict] = []
     for label in ("cold", "warm"):
         cache = ResultCache(cache_dir, validation_timeout=timeout)
         runner = BatchRunner(
             cache=cache, jobs=jobs, timeout=timeout, bound=bound
         )
         report = runner.run(items)
-        sweeps[label] = {**report.to_json(), "cache_stats": cache.stats()}
+        sweep = report.to_json()
+        results = sweep.pop("items")
+        rows.append({
+            "section": "sweep", "pass": label, **sweep,
+            "cache_stats": cache.stats(),
+        })
+        for item in results:
+            if not str(item["source"]).startswith("cache"):
+                item["engine"] = item["source"]
+            rows.append({"section": "sweep_item", "pass": label, **item})
         _log.info(
             f"serve {label:5s} {len(report.items)} items in {report.wall_s:.3f}s: "
             f"{report.cache_hits} hits / {report.cache_misses} misses, "
             f"verdicts {'OK' if report.all_correct else 'WRONG'}"
         )
-
-    cold, warm = sweeps["cold"], sweeps["warm"]
-    cold_verdicts = {
-        (row["design"], row["property"]): row["status"] for row in cold["items"]
-    }
-    warm_verdicts = {
-        (row["design"], row["property"]): row["status"] for row in warm["items"]
-    }
-    verdicts_agree = cold_verdicts == warm_verdicts
-    warm_all_hits = all(row["source"] == "cache" for row in warm["items"])
-    hits_revalidated = all(row["validated"] for row in warm["items"])
-    speedup = cold["wall_s"] / max(1e-9, warm["wall_s"])
-    summary = {
-        "items": len(cold["items"]),
-        "cold_wall_s": cold["wall_s"],
-        "warm_wall_s": warm["wall_s"],
-        "warm_speedup": round(speedup, 2),
-        "verdicts_agree": verdicts_agree,
-        "warm_all_hits": warm_all_hits,
-        "all_hits_revalidated": hits_revalidated,
-        "all_verdicts_correct": bool(
-            cold["all_correct"] and warm["all_correct"]
-        ),
-    }
-    print(
-        f"serve sweep: warm {summary['warm_speedup']}x faster, "
-        f"all hits {'OK' if warm_all_hits else 'FAIL'}, "
-        f"agreement {'OK' if verdicts_agree else 'FAIL'}"
-    )
-    return {"sweeps": sweeps, "summary": summary}
+    return rows
 
 
 def run_ladder_section(
@@ -1092,10 +964,9 @@ def run_ladder_section(
             if decided_rung is not None and decided_rung < len(rung_rows)
             else None
         )
-        # the CPU gate only applies where the *cheap* tier decided: a design
-        # escalated to the provers pays the cheap rung's probe as overhead
         cheap_decided = decided_tier == "cheap"
         row = {
+            "section": "ladder_vs_fanout",
             "benchmark": name,
             "expected": benchmark.expected,
             "fanout": {
@@ -1156,9 +1027,12 @@ def run_minimization_section(
         system = benchmark.load()
         result = make_engine(engine_name, system).verify(timeout=timeout)
         if result.status != Status.SAFE or result.certificate is None:
-            rows.append(
-                {"benchmark": name, "engine": engine_name, "status": result.status}
-            )
+            rows.append({
+                "section": "minimization",
+                "benchmark": name,
+                "engine": engine_name,
+                "status": result.status,
+            })
             continue
         original_validation, validate_original_s = timed_validation(
             system, result.certificate
@@ -1168,6 +1042,7 @@ def run_minimization_section(
             system, minimization.certificate
         )
         row = {
+            "section": "minimization",
             "benchmark": name,
             "engine": engine_name,
             "status": result.status,
@@ -1194,107 +1069,79 @@ def run_minimization_section(
     return rows
 
 
-def write_serve_report(
-    sweep_data: Dict[str, object],
-    ladder_rows: List[Dict],
-    minimize_rows: List[Dict],
-    out: str,
-    bound: int,
-    timeout: float,
-) -> bool:
-    """Write ``BENCH_serve.json``; True when every serving target is met."""
-    sweep_summary = dict(sweep_data["summary"])
-    cheap_rows = [row for row in ladder_rows if row.get("cheap_rung_decided")]
-    ladder_ok = all(
-        row["ladder_cpu_within_fanout"] for row in cheap_rows
-    ) and all(row["verdicts_match"] for row in ladder_rows)
+def run_serve(args, bound: int, names: List[str]) -> Tuple[Dict, List[Dict]]:
+    cache_dir = args.cache_dir
+    if cache_dir is None:
+        import tempfile
+
+        cache_dir = tempfile.mkdtemp(prefix="repro-serve-cache-")
+    ladder_names = [n for n in DEFAULT_LADDER_BENCHMARKS if n in names] or names[:4]
+    minimize_cases = [
+        (n, engine) for n, engine in DEFAULT_MINIMIZE_CASES if n in names
+    ] or [(n, "pdr") for n in names[:4]]
+    rows = (
+        run_serve_sweeps(names, bound, args.timeout, args.jobs, cache_dir)
+        + run_ladder_section(ladder_names, bound, args.timeout, args.jobs)
+        + run_minimization_section(minimize_cases, args.timeout)
+    )
+    return {"bound": bound, "timeout_s": args.timeout}, rows
+
+
+def judge_serve(config: Dict, rows: List[Dict]) -> Tuple[Dict, Dict]:
+    passes = {row["pass"]: row for row in section(rows, "sweep")}
+    cold = [row for row in section(rows, "sweep_item") if row["pass"] == "cold"]
+    warm = [row for row in section(rows, "sweep_item") if row["pass"] == "warm"]
+    speedup = round(
+        passes["cold"]["wall_s"] / max(1e-9, passes["warm"]["wall_s"]), 2
+    )
+    ladder = section(rows, "ladder_vs_fanout")
+    cheap = [row for row in ladder if row["cheap_rung_decided"]]
     minimized = [
         row
-        for row in minimize_rows
+        for row in section(rows, "minimization")
         if row.get("minimized_conjuncts") is not None
         and row["minimized_conjuncts"] < row["original_conjuncts"]
     ]
-    minimize_ok = all(row["both_validate"] for row in minimized) and (
-        not minimized
-        or sum(row["validate_minimized_s"] for row in minimized)
-        <= sum(row["validate_original_s"] for row in minimized)
-    )
-    ok = bool(
-        sweep_summary["verdicts_agree"]
-        and sweep_summary["warm_all_hits"]
-        and sweep_summary["all_hits_revalidated"]
-        and sweep_summary["all_verdicts_correct"]
-        and sweep_summary["warm_speedup"] >= 3.0
-        and ladder_ok
-        and minimize_ok
-    )
-    report = {
-        "meta": {
-            "tool": "repro.tools.bench --serve",
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "cpus": os.cpu_count(),
-            "bound": bound,
-            "timeout_s": timeout,
-        },
-        "sweeps": sweep_data["sweeps"],
-        "ladder_vs_fanout": ladder_rows,
-        "minimization": minimize_rows,
-        "summary": {
-            **sweep_summary,
-            "ladder_designs": len(ladder_rows),
-            "cheap_rung_decided": len(cheap_rows),
-            "ladder_cpu_within_fanout_on_cheap_decides": ladder_ok,
-            "certificates_minimized": len(minimized),
-            "minimized_validate_faster": minimize_ok,
-            "serving_targets_met": ok,
-        },
+    original_s = sum(row["validate_original_s"] for row in minimized)
+    minimized_s = sum(row["validate_minimized_s"] for row in minimized)
+
+    def verdicts(items: List[Dict]) -> Dict[Tuple[str, str], str]:
+        return {(row["design"], row["property"]): row["status"] for row in items}
+
+    gates = {
+        "cold_warm_verdicts_agree": gate(verdicts(cold) == verdicts(warm)),
+        "verdicts_correct": gate(
+            passes["cold"]["all_correct"] and passes["warm"]["all_correct"]
+        ),
+        "warm_all_hits": gate(all(row["source"] == "cache" for row in warm)),
+        "warm_hits_revalidated": gate(all(row["validated"] for row in warm)),
+        "warm_speedup": gate(speedup >= 3.0, observed=speedup, min=3.0),
+        "ladder_verdicts_match": _verdicts_match_gate(ladder),
+        # the CPU gate only applies where the *cheap* tier decided: a design
+        # escalated to the provers pays the cheap rung's probe as overhead
+        "ladder_cpu_within_fanout": gate(
+            all(row["ladder_cpu_within_fanout"] for row in cheap),
+            cheap_decided=[row["benchmark"] for row in cheap],
+        ),
+        "minimized_certificates_validate": gate(
+            all(row["both_validate"] for row in minimized)
+        ),
+        "minimized_validate_no_slower": gate(
+            minimized_s <= original_s,
+            minimized_s=round(minimized_s, 6),
+            original_s=round(original_s, 6),
+        ),
     }
-    write_json_atomic(out, report)
-    print(
-        f"\nwrote {out}: warm sweep {sweep_summary['warm_speedup']}x "
-        f"({'all hits' if sweep_summary['warm_all_hits'] else 'MISSES'}), "
-        f"ladder CPU {'OK' if ladder_ok else 'FAIL'} on "
-        f"{len(cheap_rows)} cheap-decided design(s), "
-        f"minimization {'OK' if minimize_ok else 'FAIL'} "
-        f"({len(minimized)} certificate(s) shrunk) -> "
-        f"{'OK' if ok else 'FAIL'}"
-    )
-    return ok
-
-
-def compact_incremental_rows(rows: List[Dict]) -> List[Dict]:
-    """Aggregate per-bound profiles into one row per (design, mode).
-
-    The full per-bound data of ``BENCH_incremental.json`` runs to thousands
-    of lines; the summary keeps, per mode, the bound count, total wall
-    clock and the summed headline solver counters (``--full`` restores the
-    raw rows).
-    """
-    compact = []
-    for row in rows:
-        new_row = dict(row)
-        modes = {}
-        for mode, profile in row.get("modes", {}).items():
-            new_profile = dict(profile)
-            per_bound = new_profile.pop("per_bound", None)
-            if per_bound:
-                totals: Dict[str, int] = {}
-                for entry in per_bound:
-                    for key in ("conflicts", "propagations", "decisions"):
-                        totals[key] = totals.get(key, 0) + entry["stats"].get(key, 0)
-                new_profile["per_bound_summary"] = {
-                    "bounds": len(per_bound),
-                    "wall_s": round(
-                        sum(entry["wall_s"] for entry in per_bound), 6
-                    ),
-                    **totals,
-                }
-            modes[mode] = new_profile
-        if modes:
-            new_row["modes"] = modes
-        compact.append(new_row)
-    return compact
+    summary = {
+        "items": len(cold),
+        "cold_wall_s": passes["cold"]["wall_s"],
+        "warm_wall_s": passes["warm"]["wall_s"],
+        "warm_speedup": speedup,
+        "ladder_designs": len(ladder),
+        "cheap_rung_decided": len(cheap),
+        "certificates_minimized": len(minimized),
+    }
+    return gates, summary
 
 
 # ---------------------------------------------------------------------------
@@ -1342,7 +1189,7 @@ def run_chaos_sweep(
     timeout: float,
     jobs: Optional[int],
     cache_dir: str,
-) -> Dict[str, object]:
+) -> List[Dict]:
     """One seeded fault-injection sweep through the certified batch runner.
 
     The sweep must end with a definitive, independently validated verdict
@@ -1373,33 +1220,18 @@ def run_chaos_sweep(
     wall = time.perf_counter() - start
     leaked = _reap_leaked_children()
 
-    rows = report.to_json()["items"]
-    all_definitive = all(row["status"] in Status.DEFINITIVE for row in rows)
+    results = report.to_json()["items"]
+    all_definitive = all(item["status"] in Status.DEFINITIVE for item in results)
 
     # heal the cache the tamper faults mangled, then prove it stays healed
     heal = ResultCache(cache_dir, validation_timeout=timeout)
     fsck_first = heal.fsck()
     fsck_second = heal.fsck()
 
-    ok = (
-        report.all_correct
-        and all_definitive
-        and not leaked
-        and bool(fsck_second["clean"])
-    )
     row = {
+        "section": "chaos_sweep",
         "seed": seed,
         "wall_s": round(wall, 6),
-        "items": [
-            {
-                "design": item["design"],
-                "property": item["property"],
-                "status": item["status"],
-                "source": item["source"],
-                "attempts": len((item.get("supervision") or {}).get("attempts", [])) or 1,
-            }
-            for item in rows
-        ],
         "driver_faults_fired": list(plan.fired),
         "retries": report.retries,
         "degraded": report.degraded,
@@ -1414,10 +1246,9 @@ def run_chaos_sweep(
             },
             "second_clean": bool(fsck_second["clean"]),
         },
-        "ok": ok,
     }
     _log.info(
-        f"chaos seed {seed}: {len(rows)} items in {wall:.3f}s, "
+        f"chaos seed {seed}: {len(results)} items in {wall:.3f}s, "
         f"{report.retries} retries, {report.degraded} degraded, "
         f"verdicts {'OK' if report.all_correct else 'WRONG'}"
         f"{'' if all_definitive else ' (non-definitive!)'}, "
@@ -1425,7 +1256,18 @@ def run_chaos_sweep(
         f"{row['fsck']['first']['quarantined']}, "
         f"leaked {leaked or 'none'}"
     )
-    return row
+    return [row] + [
+        {
+            "section": "chaos_item",
+            "seed": seed,
+            "design": item["design"],
+            "property": item["property"],
+            "status": item["status"],
+            "source": item["source"],
+            "attempts": len((item.get("supervision") or {}).get("attempts", [])) or 1,
+        }
+        for item in results
+    ]
 
 
 def run_hang_interrupt_demo(timeout: float) -> Dict[str, object]:
@@ -1450,6 +1292,7 @@ def run_hang_interrupt_demo(timeout: float) -> Dict[str, object]:
         result = engine.verify(timeout=budget)
     wall = time.perf_counter() - start
     row = {
+        "section": "hang_demo",
         "design": "buffalloc",
         "engine": "k-induction",
         "budget_s": budget,
@@ -1457,11 +1300,6 @@ def run_hang_interrupt_demo(timeout: float) -> Dict[str, object]:
         "status": str(result.status),
         "pid_preserved": os.getpid() == pid,
         "interrupted_within_budget": wall < budget + 2.0,
-        "ok": (
-            os.getpid() == pid
-            and wall < budget + 2.0
-            and result.status not in (Status.SAFE, Status.UNSAFE)
-        ),
     }
     _log.info(
         f"hang demo: wedged k-induction on buffalloc interrupted after "
@@ -1471,56 +1309,49 @@ def run_hang_interrupt_demo(timeout: float) -> Dict[str, object]:
     return row
 
 
-def write_faults_report(
-    sweeps: List[Dict],
-    hang_demo: Dict[str, object],
-    out: str,
-    bound: int,
-    timeout: float,
-) -> bool:
-    all_ok = all(row["ok"] for row in sweeps) and bool(hang_demo["ok"])
-    report = {
-        "config": {
-            "mode": "faults",
-            "cpus": os.cpu_count(),
-            "bound": bound,
-            "timeout_s": timeout,
-            "rates": CHAOS_RATES,
-        },
-        # "chaos_sweeps", not "sweeps": the serve report uses "sweeps" for a
-        # mapping and learn_priors scans every BENCH_*.json it finds
-        "chaos_sweeps": sweeps,
-        "hang_interrupt_demo": hang_demo,
-        "summary": {
-            "sweeps": len(sweeps),
-            "sweeps_ok": sum(1 for row in sweeps if row["ok"]),
-            "total_retries": sum(row["retries"] for row in sweeps),
-            "total_degraded": sum(row["degraded"] for row in sweeps),
-            "zero_wrong_verdicts": all(row["all_correct"] for row in sweeps),
-            "all_verdicts_definitive": all(
-                row["all_definitive"] for row in sweeps
-            ),
-            "zero_leaked_processes": all(
-                not row["leaked_pids"] for row in sweeps
-            ),
-            "caches_healed": all(
-                row["fsck"]["second_clean"] for row in sweeps
-            ),
-            "hang_interrupted_in_process": bool(hang_demo["ok"]),
-            "all_ok": all_ok,
-        },
+def run_faults(args, bound: int, names: List[str]) -> Tuple[Dict, List[Dict]]:
+    import tempfile
+
+    rows: List[Dict] = []
+    for seed in range(args.seeds):
+        cache_dir = (
+            os.path.join(args.cache_dir, f"seed{seed}")
+            if args.cache_dir is not None
+            else tempfile.mkdtemp(prefix=f"repro-chaos-cache-{seed}-")
+        )
+        rows += run_chaos_sweep(seed, names, bound, args.timeout, args.jobs, cache_dir)
+    rows.append(run_hang_interrupt_demo(args.timeout))
+    config = {"bound": bound, "timeout_s": args.timeout, "rates": CHAOS_RATES}
+    return config, rows
+
+
+def judge_faults(config: Dict, rows: List[Dict]) -> Tuple[Dict, Dict]:
+    sweeps = section(rows, "chaos_sweep")
+    hang = section(rows, "hang_demo")
+
+    def every_sweep(failed) -> Dict[str, object]:
+        seeds = [row["seed"] for row in sweeps if failed(row)]
+        return gate(sweeps and not seeds, failed_seeds=seeds)
+
+    gates = {
+        "zero_wrong_verdicts": every_sweep(lambda row: not row["all_correct"]),
+        "all_verdicts_definitive": every_sweep(lambda row: not row["all_definitive"]),
+        "zero_leaked_processes": every_sweep(lambda row: row["leaked_pids"]),
+        "caches_healed": every_sweep(lambda row: not row["fsck"]["second_clean"]),
+        # the wedge is broken by the deadline: same process, no verdict, on time
+        "hang_interrupted_in_process": gate(
+            hang
+            and hang[0]["pid_preserved"]
+            and hang[0]["interrupted_within_budget"]
+            and hang[0]["status"] not in (Status.SAFE, Status.UNSAFE)
+        ),
     }
-    write_json_atomic(out, report)
-    summary = report["summary"]
-    print(
-        f"\nwrote {out}: {summary['sweeps_ok']}/{summary['sweeps']} chaos "
-        f"sweeps clean ({summary['total_retries']} retries, "
-        f"{summary['total_degraded']} degraded), verdicts "
-        f"{'all correct+definitive' if summary['zero_wrong_verdicts'] and summary['all_verdicts_definitive'] else 'NOT CLEAN'}, "
-        f"leaks {'none' if summary['zero_leaked_processes'] else 'LEAKED'}, "
-        f"hang demo {'ok' if summary['hang_interrupted_in_process'] else 'FAILED'}"
-    )
-    return all_ok
+    summary = {
+        "sweeps": len(sweeps),
+        "total_retries": sum(row["retries"] for row in sweeps),
+        "total_degraded": sum(row["degraded"] for row in sweeps),
+    }
+    return gates, summary
 
 
 # ---------------------------------------------------------------------------
@@ -1597,7 +1428,7 @@ def _soak_classify(design: str, reply: Dict[str, object]) -> str:
 
 def run_serve_soak(
     seed: int, timeout: float, workdir: str
-) -> Dict[str, object]:
+) -> List[Dict]:
     """The full soak: graceful chaos run, SIGKILL mid-flight, recovery run.
 
     Run A starts a chaos-seeded server and drives it through the acceptance
@@ -1606,8 +1437,8 @@ def run_serve_soak(
     then drains it gracefully.  Run B accepts slow requests and SIGKILLs
     the whole server group mid-flight, leaving the journal with open
     entries.  Run C restarts on that journal and must NACK every one.
-    Every gate lands in the returned row; :func:`write_server_report`
-    aggregates them.
+    Each phase's observations become one row; :func:`judge_serve_soak`
+    holds the gates.
     """
     import statistics
     import signal as signal_module
@@ -1622,7 +1453,7 @@ def run_serve_soak(
     cache_dir = os.path.join(workdir, "cache")
     journal_a = os.path.join(workdir, "journal_a.jsonl")
     trace_a = os.path.join(workdir, "trace_a.jsonl")
-    row: Dict[str, object] = {"seed": seed}
+    phases: Dict[str, Dict] = {}
 
     # ----- run A: chaos-seeded serving until graceful drain --------------
     server = _start_soak_server([
@@ -1639,9 +1470,7 @@ def run_serve_soak(
     pgid_a = server.pid
     if not _soak_wait_socket(sock):
         server.kill()
-        row["error"] = "run A server never opened its socket"
-        row["ok"] = False
-        return row
+        return _phase_rows({"error": {"error": "run A server never opened its socket"}})
 
     wrong: List[str] = []
 
@@ -1682,17 +1511,12 @@ def run_serve_soak(
     for reply in coalesce_replies:
         if _soak_classify(SOAK_COALESCE_DESIGN, reply) == Status.WRONG:
             wrong.append(f"{SOAK_COALESCE_DESIGN}: {reply.get('status')}")
-    coalesce_ok = (
-        len(coalesce_replies) == SOAK_COALESCE_CLIENTS
-        and computations_k == 1
-        and coalesced_k == SOAK_COALESCE_CLIENTS - 1
-    )
-    row["coalesce"] = {
+    phases["coalesce"] = {
         "clients": SOAK_COALESCE_CLIENTS,
+        "replies": len(coalesce_replies),
         "computations": computations_k,
         "coalesced": coalesced_k,
         "ratio": round(coalesced_k / SOAK_COALESCE_CLIENTS, 3),
-        "ok": coalesce_ok,
     }
 
     _log.verbose("soak: coalesce phase done")
@@ -1712,12 +1536,11 @@ def run_serve_soak(
             if _soak_classify(SOAK_COALESCE_DESIGN, reply) == Status.WRONG:
                 wrong.append(f"warm {SOAK_COALESCE_DESIGN}: {reply.get('status')}")
     warm_p50 = statistics.median(warm_latencies)
-    row["warm"] = {
+    phases["warm"] = {
         "queries": len(warm_latencies),
         "all_cache_hits": all(s == "cache" for s in warm_sources),
         "p50_s": round(warm_p50, 6),
         "max_s": round(max(warm_latencies), 6),
-        "ok": all(s == "cache" for s in warm_sources) and warm_p50 <= 2.0,
     }
 
     _log.verbose("soak: warm phase done")
@@ -1744,11 +1567,10 @@ def run_serve_soak(
             reply = client.result(request_id)
             if _soak_classify(name, reply) == Status.WRONG:
                 wrong.append(f"flood {name}: {reply.get('status')}")
-    row["flood"] = {
+    phases["flood"] = {
         "submitted": len(flood_targets),
         "accepted": len(flood_accepted),
         "rejected_overloaded": flood_rejected,
-        "ok": flood_rejected >= 1 and len(flood_accepted) >= 1,
     }
 
     _log.verbose("soak: flood phase done")
@@ -1774,7 +1596,7 @@ def run_serve_soak(
                 if _soak_classify(name, reply) == Status.WRONG:
                     wrong.append(f"disconnect {name}: {reply.get('status')}")
                 client.close()
-    row["disconnects"] = {"fired": disconnects}
+    phases["disconnects"] = {"fired": disconnects}
 
     _log.verbose("soak: disconnect phase done")
 
@@ -1786,13 +1608,10 @@ def run_serve_soak(
             deadline_s=0.2,
         )
     deadline_wall = time.perf_counter() - t0
-    row["deadline"] = {
+    phases["deadline"] = {
         "status": reply.get("status"),
         "wall_s": round(deadline_wall, 6),
-        "ok": (
-            deadline_wall <= 0.2 + 15.0
-            and _soak_classify("huffman_dec", reply) != Status.WRONG
-        ),
+        "wrong": _soak_classify("huffman_dec", reply) == Status.WRONG,
     }
 
     _log.verbose("soak: deadline phase done")
@@ -1803,39 +1622,25 @@ def run_serve_soak(
         client.drain()
     drain_rc = server.wait(timeout=max(120.0, timeout * 3))
     counters = final_stats["counters"]
-    accounting_ok = (
-        counters["accepted"] == counters["answered"] + counters["cancelled"]
-    )
     group_a_gone = _soak_group_gone(pgid_a)
     trace_problems: List[str] = []
     try:
         trace_problems = lint_trace(load_trace(trace_a))
     except (OSError, ValueError) as error:
         trace_problems = [str(error)]
-    row["run_a"] = {
+    phases["run_a"] = {
         "counters": counters,
         "throttle": final_stats["throttle"],
-        "accounting_ok": accounting_ok,
         "drain_exit_code": drain_rc,
         "journal_torn_injected": final_stats.get("journal", {}).get(
             "torn_injected", 0
         ),
         "no_leaked_processes": group_a_gone,
         "trace_problems": trace_problems,
-        "trace_clean": not trace_problems,
+        "journal_open_after_drain": len(
+            RequestJournal(journal_a).replay().open_requests
+        ),
     }
-    journal_a_open = len(RequestJournal(journal_a).replay().open_requests)
-    torn_injected = int(row["run_a"]["journal_torn_injected"])
-    # under journal-torn chaos a drained journal may legitimately keep open
-    # accepts: a tear eats the tail of the record just written AND merges the
-    # following append onto the same garbage line, so each tear can destroy up
-    # to two records — a destroyed *close* orphans its accept.  That is the
-    # at-least-once contract (a restart would NACK, never silently lose), so
-    # the gate is "opens explainable by tears", and exactly zero when no tear
-    # fired.
-    journal_a_ok = journal_a_open <= 2 * torn_injected
-    row["run_a"]["journal_open_after_drain"] = journal_a_open
-    row["run_a"]["journal_open_explained_by_tears"] = journal_a_ok
 
     _log.verbose("soak: run A drained")
 
@@ -1871,12 +1676,7 @@ def run_serve_soak(
     kill_row["no_survivors"] = _soak_group_gone(pgid_b)
     open_after_kill = RequestJournal(journal_b).replay().open_requests
     kill_row["journal_open_after_kill"] = len(open_after_kill)
-    kill_row["ok"] = (
-        kill_row.get("error") is None
-        and kill_row["no_survivors"]
-        and len(open_after_kill) >= 1
-    )
-    row["run_b"] = kill_row
+    phases["run_b"] = kill_row
 
     _log.verbose("soak: run B killed")
 
@@ -1897,7 +1697,6 @@ def run_serve_soak(
     if not _soak_wait_socket(sock):
         server_c.kill()
         restart_row["error"] = "run C server never opened its socket"
-        restart_row["ok"] = False
     else:
         with ServeClient(socket_path=sock) as client:
             stats_c = client.stats()
@@ -1919,101 +1718,123 @@ def run_serve_soak(
         restart_row["journal_open_after_drain"] = len(
             RequestJournal(journal_b).replay().open_requests
         )
-        restart_row["ok"] = (
-            restart_row["recovered_nacked"] == len(open_after_kill)
-            and rc_c == 0
-            and restart_row["no_leaked_processes"]
-            and not problems_c
-            and restart_row["journal_open_after_drain"] == 0
-        )
-    row["run_c"] = restart_row
+    phases["run_c"] = restart_row
 
-    row["_trace_a_path"] = trace_a
-    row["wrong_verdicts"] = wrong
-    row["ok"] = (
-        coalesce_ok
-        and row["warm"]["ok"]
-        and row["flood"]["ok"]
-        and row["deadline"]["ok"]
-        and accounting_ok
-        and drain_rc == 0
-        and group_a_gone
-        and not trace_problems
-        and journal_a_ok
-        and not wrong
-        and bool(kill_row.get("ok"))
-        and bool(restart_row.get("ok"))
-    )
+    phases["verdicts"] = {"wrong": wrong}
     _log.info(
         f"serve soak seed {seed}: coalesce {coalesced_k}/{SOAK_COALESCE_CLIENTS} "
         f"({computations_k} computation), warm p50 {warm_p50*1000:.1f}ms, "
         f"{flood_rejected} overload rejection(s), {disconnects} disconnect(s), "
-        f"accounting {'ok' if accounting_ok else 'BROKEN'}, "
         f"kill left {len(open_after_kill)} journaled, "
-        f"recovery nacked {restart_row.get('recovered_nacked', '?')}, "
-        f"{'OK' if row['ok'] else 'FAILED'}"
+        f"recovery nacked {restart_row.get('recovered_nacked', '?')}"
     )
-    return row
+    return _phase_rows(phases)
 
 
-def write_server_report(
-    soak: Dict[str, object], out: str, timeout: float, trace_out: Optional[str]
-) -> bool:
-    """Write ``BENCH_server.json``; True when every soak gate held."""
-    trace_a_path = soak.pop("_trace_a_path", None)
-    all_ok = bool(soak.get("ok"))
-    report = {
-        "config": {
-            "mode": "serve-soak",
-            "cpus": os.cpu_count(),
-            "timeout_s": timeout,
-            "seed": soak.get("seed"),
-            "chaos_rates": SOAK_SERVER_RATES,
-            "python": platform.python_version(),
-        },
-        "tool": "repro.tools.bench --serve-soak",
-        "soak": soak,
-        "summary": {
-            "every_accept_resolved": bool(
-                soak.get("run_a", {}).get("accounting_ok")
-            ),
-            "coalescing_ratio": soak.get("coalesce", {}).get("ratio"),
-            "warm_p50_s": soak.get("warm", {}).get("p50_s"),
-            "overload_rejections": soak.get("flood", {}).get(
-                "rejected_overloaded"
-            ),
-            "zero_wrong_verdicts": not soak.get("wrong_verdicts"),
-            "zero_leaked_processes": bool(
-                soak.get("run_a", {}).get("no_leaked_processes")
-            )
-            and bool(soak.get("run_b", {}).get("no_survivors"))
-            and bool(soak.get("run_c", {}).get("no_leaked_processes")),
-            "traces_clean": bool(soak.get("run_a", {}).get("trace_clean"))
-            and not soak.get("run_c", {}).get("trace_problems"),
-            "journal_recovery_ok": bool(soak.get("run_b", {}).get("ok"))
-            and bool(soak.get("run_c", {}).get("ok")),
-            "all_ok": all_ok,
-        },
+def _phase_rows(phases: Dict[str, Dict]) -> List[Dict]:
+    """One row per soak phase, in the order the phases ran."""
+    return [{"section": name, **data} for name, data in phases.items()]
+
+
+def run_soak(
+    soak: Callable[[int, float, str], List[Dict]],
+    trace_name: str,
+    rates: Dict[str, str],
+    args,
+    depth,
+    names,
+) -> Tuple[Dict, List[Dict]]:
+    """Run one soak in a fresh work dir; copy its trace to ``--trace-out``."""
+    import shutil
+    import tempfile
+
+    workdir = tempfile.mkdtemp(prefix="repro-soak-", dir="/tmp")
+    rows = soak(args.seed, args.timeout, workdir)
+    trace = os.path.join(workdir, trace_name)
+    if os.path.exists(trace):
+        shutil.copyfile(trace, args.trace_out)
+        print(f"soak trace copied to {args.trace_out}")
+    return {"timeout_s": args.timeout, "seed": args.seed, **rates}, rows
+
+
+def judge_serve_soak(config: Dict, rows: List[Dict]) -> Tuple[Dict, Dict]:
+    phase = {row["section"]: row for row in rows}
+    coalesce, warm, flood = (phase.get(n, {}) for n in ("coalesce", "warm", "flood"))
+    deadline, run_a = phase.get("deadline", {}), phase.get("run_a", {})
+    run_b, run_c = phase.get("run_b", {}), phase.get("run_c", {})
+    counters = run_a.get("counters") or {}
+    wrong = phase.get("verdicts", {}).get("wrong")
+    open_after_kill = run_b.get("journal_open_after_kill", 0)
+    gates = {
+        "coalesce": gate(
+            coalesce.get("replies") == SOAK_COALESCE_CLIENTS
+            and coalesce.get("computations") == 1
+            and coalesce.get("coalesced") == SOAK_COALESCE_CLIENTS - 1,
+            computations=coalesce.get("computations"),
+            coalesced=coalesce.get("coalesced"),
+        ),
+        "warm_hits": gate(
+            warm.get("all_cache_hits") and warm.get("p50_s", float("inf")) <= 2.0,
+            p50_s=warm.get("p50_s"),
+            max_p50_s=2.0,
+        ),
+        "overload_rejected": gate(
+            flood.get("rejected_overloaded", 0) >= 1 and flood.get("accepted", 0) >= 1,
+            rejected=flood.get("rejected_overloaded"),
+        ),
+        "deadline_enforced": gate(
+            deadline.get("wall_s", float("inf")) <= 0.2 + 15.0
+            and deadline.get("wrong") is False,
+            wall_s=deadline.get("wall_s"),
+            max_wall_s=0.2 + 15.0,
+        ),
+        "every_accept_resolved": gate(
+            counters
+            and counters["accepted"] == counters["answered"] + counters["cancelled"]
+        ),
+        "graceful_drain": gate(run_a.get("drain_exit_code") == 0),
+        # under journal-torn chaos a drained journal may legitimately keep open
+        # accepts: a tear eats the tail of the record just written AND merges
+        # the following append onto the same garbage line, so each tear can
+        # destroy up to two records — a destroyed *close* orphans its accept.
+        # That is the at-least-once contract (a restart would NACK, never
+        # silently lose), so the gate is "opens explainable by tears", and
+        # exactly zero when no tear fired.
+        "journal_open_explained_by_tears": gate(
+            "journal_open_after_drain" in run_a
+            and run_a["journal_open_after_drain"]
+            <= 2 * int(run_a["journal_torn_injected"]),
+            open=run_a.get("journal_open_after_drain"),
+            torn=run_a.get("journal_torn_injected"),
+        ),
+        "zero_leaked_processes": gate(
+            run_a.get("no_leaked_processes")
+            and run_b.get("no_survivors")
+            and run_c.get("no_leaked_processes")
+        ),
+        "traces_clean": gate(
+            run_a.get("trace_problems") == [] and run_c.get("trace_problems") == []
+        ),
+        "zero_wrong_verdicts": gate(wrong == [], wrong=wrong),
+        "kill_leaves_journal_open": gate(
+            "error" not in run_b and open_after_kill >= 1, open=open_after_kill
+        ),
+        "restart_nacks_orphans": gate(
+            "error" not in run_c
+            and run_c.get("recovered_nacked") == open_after_kill
+            and run_c.get("drain_exit_code") == 0
+            and run_c.get("journal_open_after_drain") == 0,
+            nacked=run_c.get("recovered_nacked"),
+        ),
     }
-    write_json_atomic(out, report)
-    if trace_out and isinstance(trace_a_path, str) and os.path.exists(trace_a_path):
-        import shutil
-
-        shutil.copyfile(trace_a_path, trace_out)
-        print(f"server trace (run A) copied to {trace_out}")
-    summary = report["summary"]
-    print(
-        f"\nwrote {out}: accept accounting "
-        f"{'ok' if summary['every_accept_resolved'] else 'BROKEN'}, "
-        f"coalescing {summary['coalescing_ratio']}, warm p50 "
-        f"{summary['warm_p50_s']}s, {summary['overload_rejections']} overload "
-        f"rejection(s), wrong verdicts "
-        f"{'none' if summary['zero_wrong_verdicts'] else 'PRESENT'}, leaks "
-        f"{'none' if summary['zero_leaked_processes'] else 'LEAKED'}, traces "
-        f"{'clean' if summary['traces_clean'] else 'DIRTY'}, journal recovery "
-        f"{'ok' if summary['journal_recovery_ok'] else 'FAILED'}"
-    )
-    return all_ok
+    summary = {
+        "coalescing_ratio": coalesce.get("ratio"),
+        "warm_p50_s": warm.get("p50_s"),
+        "overload_rejections": flood.get("rejected_overloaded"),
+    }
+    if "error" in phase:
+        summary["error"] = phase["error"]["error"]
+    return gates, summary
 
 
 # ---------------------------------------------------------------------------
@@ -2063,7 +1884,7 @@ def _fleet_reply_gate(
 
 def run_fleet_soak(
     seed: int, timeout: float, workdir: str
-) -> Dict[str, object]:
+) -> List[Dict]:
     """Fleet failover soak: two shards, a hot standby, a router, one SIGKILL.
 
     Topology: member ``box-a`` (primary, ``--sync-level sync``) streams its
@@ -2103,7 +1924,7 @@ def run_fleet_soak(
     trace_b = os.path.join(workdir, "trace_b.jsonl")
     trace_router = os.path.join(workdir, "trace_router.jsonl")
     stitched_path = os.path.join(workdir, "trace_fleet.jsonl")
-    row: Dict[str, object] = {"seed": seed}
+    phases: Dict[str, Dict] = {}
     deadline_s = max(120.0, timeout * 3)
 
     primary = _start_soak_server([
@@ -2137,9 +1958,7 @@ def run_fleet_soak(
     if not all(_soak_wait_socket(s) for s in (sock_a, sock_a2, sock_b)):
         for proc in (primary, standby, solo):
             proc.kill()
-        row["error"] = "a fleet member never opened its socket"
-        row["ok"] = False
-        return row
+        return _phase_rows({"error": {"error": "a fleet member never opened its socket"}})
 
     router = _start_fleet_router([
         "--socket", sock_router,
@@ -2152,9 +1971,7 @@ def run_fleet_soak(
     if not _soak_wait_socket(sock_router):
         for proc in (primary, standby, solo, router):
             proc.kill()
-        row["error"] = "router never opened its socket"
-        row["ok"] = False
-        return row
+        return _phase_rows({"error": {"error": "router never opened its socket"}})
     time.sleep(1.0)  # let the standby subscribe and the heartbeats settle
 
     wrong: List[str] = []
@@ -2198,16 +2015,12 @@ def run_fleet_soak(
         _fleet_reply_gate("barrel16", reply, wrong, unvalidated)
     with ServeClient(socket_path=sock_router, timeout=30.0) as client:
         router_status_mid = client.status()
-    row["phase1"] = {
+    phases["phase1"] = {
         "sanity_queries": len(FLEET_SANITY_DESIGNS),
         "pair_replies": len(pair_replies),
         "router_coalesced": router_status_mid["counters"]["coalesced"],
         "progress_frames_seen": len(progress_frames),
         "progress_kinds": sorted(set(progress_frames)),
-        "ok": (
-            len(pair_replies) == 2
-            and len(progress_frames) >= 1
-        ),
     }
     _log.verbose("fleet soak: phase 1 done")
 
@@ -2258,22 +2071,14 @@ def run_fleet_soak(
         {rid for _, rid in submitted}
     )
     killed_row["primary_group_gone"] = _soak_group_gone(pgids["box-a"])
-    killed_row["ok"] = (
-        killed_row["zero_lost"]
-        and killed_row["zero_duplicates"]
-        and not reader_errors
-        and killed_row["primary_group_gone"]
-    )
-    row["phase2_kill"] = killed_row
+    phases["phase2_kill"] = killed_row
     _log.verbose(
         f"fleet soak: phase 2 done ({len(results)}/{len(submitted)} answered "
         f"{failover_wall:.1f}s after SIGKILL)"
     )
 
     # ----- drain: accounting on the survivors, then shut the fleet down --
-    member_counters: Dict[str, Dict[str, object]] = {}
-    accounting_ok = True
-    takeover_seen = False
+    members: List[Dict] = []
     for name, sock in (("box-a2", sock_a2), ("box-b", sock_b)):
         try:
             with ServeClient(
@@ -2282,11 +2087,12 @@ def run_fleet_soak(
                 status = client.status()
                 client.drain()
         except (ServeError, OSError) as error:
-            member_counters[name] = {"error": str(error)}
-            accounting_ok = False
+            members.append({"section": "member", "name": name, "error": str(error)})
             continue
         counters = status["counters"]
-        member_counters[name] = {
+        members.append({
+            "section": "member",
+            "name": name,
             "role": status.get("role"),
             "accepted": counters["accepted"],
             "answered": counters["answered"],
@@ -2299,17 +2105,7 @@ def run_fleet_soak(
             "repl_link_drops": (status.get("replication") or {}).get(
                 "link_drops", 0
             ),
-            "balanced": counters["accepted"]
-            == counters["answered"] + counters["cancelled"],
-        }
-        accounting_ok = accounting_ok and bool(
-            member_counters[name]["balanced"]
-        )
-        if counters.get("takeovers"):
-            takeover_seen = True
-    row["members"] = member_counters
-    row["accounting_ok"] = accounting_ok
-    row["takeover_seen"] = takeover_seen
+        })
 
     try:
         with ServeClient(
@@ -2317,7 +2113,7 @@ def run_fleet_soak(
         ) as client:
             router_final = client.status()
             client.drain()
-        row["router"] = {
+        phases["router"] = {
             "counters": router_final["counters"],
             "members": [
                 {k: m[k] for k in ("name", "healthy", "connects", "partitions",
@@ -2326,7 +2122,7 @@ def run_fleet_soak(
             ],
         }
     except (ServeError, OSError) as error:
-        row["router"] = {"error": str(error)}
+        phases["router"] = {"error": str(error)}
 
     exits = {}
     for name, proc in (("box-a2", standby), ("box-b", solo), ("router", router)):
@@ -2335,12 +2131,12 @@ def run_fleet_soak(
         except Exception:  # noqa: BLE001 - timeout: count it as a leak
             proc.kill()
             exits[name] = None
-    row["drain_exit_codes"] = exits
-    leaks = {
-        name: not _soak_group_gone(pgid) for name, pgid in pgids.items()
+    phases["drain"] = {
+        "exit_codes": exits,
+        "leaked_groups": [
+            name for name, pgid in pgids.items() if not _soak_group_gone(pgid)
+        ],
     }
-    row["leaked_groups"] = {name: leaked for name, leaked in leaks.items() if leaked}
-    zero_leaks = not row["leaked_groups"]
 
     # ----- stitch the surviving boxes' traces and lint the union ---------
     stitch_row: Dict[str, object] = {}
@@ -2357,109 +2153,75 @@ def run_fleet_soak(
             "spans": len(stitched.spans),
             "cross_box_requests": fleet_roots,
             "problems": problems,
-            "ok": not problems and fleet_roots >= 1,
         }
     except (OSError, ValueError) as error:
-        stitch_row = {"error": str(error), "ok": False}
-    row["stitched_trace"] = stitch_row
-    row["_stitched_path"] = stitched_path
-
-    row["wrong_verdicts"] = wrong
-    row["unvalidated_verdicts"] = unvalidated
-    row["ok"] = (
-        bool(row["phase1"]["ok"])
-        and bool(killed_row.get("ok"))
-        and accounting_ok
-        and takeover_seen
-        and zero_leaks
-        and bool(stitch_row.get("ok"))
-        and exits.get("box-a2") == 0
-        and exits.get("box-b") == 0
-        and exits.get("router") == 0
-        and not wrong
-        and not unvalidated
-    )
+        stitch_row = {"error": str(error)}
+    phases["stitched_trace"] = stitch_row
+    phases["verdicts"] = {"wrong": wrong, "unvalidated": unvalidated}
     _log.info(
         f"fleet soak seed {seed}: "
         f"{killed_row.get('answered', 0)}/{killed_row.get('submitted', 0)} "
         f"answered after SIGKILL ({killed_row.get('failover_wall_s', '?')}s), "
-        f"takeover {'seen' if takeover_seen else 'MISSING'}, "
-        f"accounting {'ok' if accounting_ok else 'BROKEN'}, "
-        f"leaks {'none' if zero_leaks else 'PRESENT'}, "
-        f"stitched trace {'clean' if stitch_row.get('ok') else 'DIRTY'}, "
-        f"{'OK' if row['ok'] else 'FAILED'}"
+        f"leaked groups {phases['drain']['leaked_groups'] or 'none'}, "
+        f"stitched trace problems {stitch_row.get('problems', '?')}"
     )
-    return row
+    return _phase_rows(phases) + members
 
 
-def write_fleet_report(
-    soak: Dict[str, object], out: str, timeout: float, trace_out: Optional[str]
-) -> bool:
-    """Write ``BENCH_fleet.json``; True when every fleet gate held."""
-    stitched_path = soak.pop("_stitched_path", None)
-    all_ok = bool(soak.get("ok"))
-    report = {
-        "config": {
-            "mode": "fleet-soak",
-            "cpus": os.cpu_count(),
-            "timeout_s": timeout,
-            "seed": soak.get("seed"),
-            "member_chaos_rates": FLEET_MEMBER_RATES,
-            "router_chaos_rates": FLEET_ROUTER_RATES,
-            "python": platform.python_version(),
-        },
-        "tool": "repro.tools.bench --fleet-soak",
-        "soak": soak,
-        "summary": {
-            "failover_zero_lost": bool(
-                soak.get("phase2_kill", {}).get("zero_lost")
-            ),
-            "failover_zero_duplicates": bool(
-                soak.get("phase2_kill", {}).get("zero_duplicates")
-            ),
-            "failover_wall_s": soak.get("phase2_kill", {}).get(
-                "failover_wall_s"
-            ),
-            "takeover_seen": bool(soak.get("takeover_seen")),
-            "fleet_accounting_ok": bool(soak.get("accounting_ok")),
-            "zero_wrong_verdicts": not soak.get("wrong_verdicts"),
-            "all_verdicts_certificate_validated": not soak.get(
-                "unvalidated_verdicts"
-            ),
-            "zero_leaked_process_groups": not soak.get("leaked_groups"),
-            "stitched_trace_clean": bool(
-                soak.get("stitched_trace", {}).get("ok")
-            ),
-            "cross_box_requests_stitched": soak.get("stitched_trace", {}).get(
-                "cross_box_requests"
-            ),
-            "all_ok": all_ok,
-        },
+def judge_fleet_soak(config: Dict, rows: List[Dict]) -> Tuple[Dict, Dict]:
+    phase = {row["section"]: row for row in rows if row["section"] != "member"}
+    members = section(rows, "member")
+    phase1, kill = phase.get("phase1", {}), phase.get("phase2_kill", {})
+    drain, stitched = phase.get("drain", {}), phase.get("stitched_trace", {})
+    verdicts = phase.get("verdicts", {})
+    exits = drain.get("exit_codes", {})
+    gates = {
+        "phase1_pair_and_progress": gate(
+            phase1.get("pair_replies") == 2
+            and phase1.get("progress_frames_seen", 0) >= 1
+        ),
+        "failover_zero_lost": gate(
+            kill.get("zero_lost") and kill.get("reader_errors") == [],
+            submitted=kill.get("submitted"),
+            answered=kill.get("answered"),
+        ),
+        "failover_zero_duplicates": gate(kill.get("zero_duplicates")),
+        "takeover_seen": gate(any(row.get("takeovers") for row in members)),
+        "fleet_accounting_balanced": gate(
+            len(members) == 2
+            and all(
+                "error" not in row
+                and row["accepted"] == row["answered"] + row["cancelled"]
+                for row in members
+            )
+        ),
+        "graceful_drain": gate(
+            all(exits.get(name) == 0 for name in ("box-a2", "box-b", "router")),
+            exit_codes=exits,
+        ),
+        "zero_leaked_process_groups": gate(
+            kill.get("primary_group_gone") and drain.get("leaked_groups") == [],
+            leaked=drain.get("leaked_groups"),
+        ),
+        "stitched_trace_clean": gate(
+            stitched.get("problems") == []
+            and stitched.get("cross_box_requests", 0) >= 1
+        ),
+        "zero_wrong_verdicts": gate(
+            verdicts.get("wrong") == [], wrong=verdicts.get("wrong")
+        ),
+        "all_verdicts_certificate_validated": gate(
+            verdicts.get("unvalidated") == [],
+            unvalidated=verdicts.get("unvalidated"),
+        ),
     }
-    write_json_atomic(out, report)
-    if (
-        trace_out
-        and isinstance(stitched_path, str)
-        and os.path.exists(stitched_path)
-    ):
-        import shutil
-
-        shutil.copyfile(stitched_path, trace_out)
-        print(f"stitched fleet trace copied to {trace_out}")
-    summary = report["summary"]
-    print(
-        f"\nwrote {out}: failover "
-        f"{'zero-lost' if summary['failover_zero_lost'] else 'LOST REQUESTS'}/"
-        f"{'zero-dup' if summary['failover_zero_duplicates'] else 'DUPLICATES'} "
-        f"in {summary['failover_wall_s']}s, takeover "
-        f"{'seen' if summary['takeover_seen'] else 'MISSING'}, accounting "
-        f"{'ok' if summary['fleet_accounting_ok'] else 'BROKEN'}, verdicts "
-        f"{'validated' if summary['all_verdicts_certificate_validated'] else 'UNVALIDATED'}, "
-        f"leaks {'none' if summary['zero_leaked_process_groups'] else 'LEAKED'}, "
-        f"stitched trace "
-        f"{'clean' if summary['stitched_trace_clean'] else 'DIRTY'}"
-    )
-    return all_ok
+    summary = {
+        "failover_wall_s": kill.get("failover_wall_s"),
+        "cross_box_requests_stitched": stitched.get("cross_box_requests"),
+    }
+    if "error" in phase:
+        summary["error"] = phase["error"]["error"]
+    return gates, summary
 
 
 # ---------------------------------------------------------------------------
@@ -2568,6 +2330,7 @@ def run_kernels_section(
                 verdicts_agree = False
 
         row = {
+            "section": "kernel_tier",
             "design": name,
             "cycles": cycles,
             "lanes": lanes,
@@ -2626,6 +2389,7 @@ def run_kernels_rsim_section(names: List[str], timeout: float) -> List[Dict]:
             validation = validate_result(system, result, replay_backend="packed")
             validated = validation.ok
         row = {
+            "section": "rsim",
             "design": name,
             "status": str(result.status),
             "wall_s": round(wall, 6),
@@ -2643,92 +2407,63 @@ def run_kernels_rsim_section(names: List[str], timeout: float) -> List[Dict]:
     return rows
 
 
-def write_kernels_report(
-    tier_rows: List[Dict],
-    rsim_rows: List[Dict],
-    out: str,
-    cycles: int,
-    lanes: int,
-    packed_gate: float,
-    kernel_gate: float,
-) -> bool:
+def run_kernels(args, depth, names: List[str]) -> Tuple[Dict, List[Dict]]:
     from repro.kernels.build import find_compiler
 
     compiler = find_compiler()
-    packed_hits = sum(
-        1
-        for row in tier_rows
-        if row["packed_speedup"] is not None and row["packed_speedup"] >= packed_gate
+    rows = run_kernels_section(names, args.cycles, args.lanes) + run_kernels_rsim_section(
+        names, args.timeout
     )
-    kernel_hits = sum(
-        1
-        for row in tier_rows
-        if row["kernel_speedup_vs_packed"] is not None
-        and row["kernel_speedup_vs_packed"] >= kernel_gate
-    )
-    all_agree = all(row["verdicts_agree"] for row in tier_rows)
-    rsim_ok = all(row["found_and_validated"] for row in rsim_rows) and bool(rsim_rows)
+    config = {
+        "cycles": args.cycles,
+        "lanes": args.lanes,
+        "packed_gate": args.packed_gate,
+        "kernel_gate": args.kernel_gate,
+        "compiler": " ".join(compiler) if compiler else None,
+    }
+    return config, rows
+
+
+def judge_kernels(config: Dict, rows: List[Dict]) -> Tuple[Dict, Dict]:
+    tiers, rsim = section(rows, "kernel_tier"), section(rows, "rsim")
+
+    def designs_at(key: str, threshold: float) -> int:
+        return sum(
+            1 for row in tiers if row[key] is not None and row[key] >= threshold
+        )
+
+    packed_hits = designs_at("packed_speedup", config["packed_gate"])
+    kernel_hits = designs_at("kernel_speedup_vs_packed", config["kernel_gate"])
     # with no compiler the kernel tier is legitimately absent and its gate is
     # waived — the degradation itself is what the no-cc CI leg checks
-    kernel_gate_waived = compiler is None
+    waived = config["compiler"] is None
     gates = {
-        "packed_gate": {
-            "threshold": packed_gate,
-            "designs_at_or_above": packed_hits,
-            "required": 3,
-            "ok": packed_hits >= 3,
-        },
-        "kernel_gate": {
-            "threshold": kernel_gate,
-            "designs_at_or_above": kernel_hits,
-            "required": 3,
-            "waived_no_compiler": kernel_gate_waived,
-            "ok": kernel_gate_waived or kernel_hits >= 3,
-        },
-        "verdict_agreement": {"ok": all_agree},
-        "rsim_falsification": {"ok": rsim_ok},
+        "packed_gate": gate(
+            packed_hits >= 3,
+            threshold=config["packed_gate"],
+            designs_at_or_above=packed_hits,
+            required=3,
+        ),
+        "kernel_gate": gate(
+            waived or kernel_hits >= 3,
+            threshold=config["kernel_gate"],
+            designs_at_or_above=kernel_hits,
+            required=3,
+            waived_no_compiler=waived,
+        ),
+        "verdict_agreement": gate(
+            all(row["verdicts_agree"] for row in tiers),
+            diverged=[row["design"] for row in tiers if not row["verdicts_agree"]],
+        ),
+        "rsim_falsification": gate(
+            rsim and all(row["found_and_validated"] for row in rsim)
+        ),
     }
-    all_ok = all(gate["ok"] for gate in gates.values())
-    report = {
-        "config": {
-            "mode": "kernels",
-            "cpus": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "cycles": cycles,
-            "lanes": lanes,
-            "compiler": " ".join(compiler) if compiler else None,
-        },
-        # "kernel_tiers", not "sweeps"/"portfolio"/...: learn_priors scans
-        # every BENCH_*.json for those keys and these rows are not engine runs
-        "kernel_tiers": tier_rows,
-        "rsim_falsification": rsim_rows,
-        "summary": {
-            "designs": len(tier_rows),
-            "packed_designs_at_gate": packed_hits,
-            "kernel_designs_at_gate": kernel_hits if not kernel_gate_waived else None,
-            "all_verdicts_agree": all_agree,
-            "rsim_bugs_found": sum(
-                1 for row in rsim_rows if row["status"] == Status.UNSAFE
-            ),
-            "rsim_all_validated": rsim_ok,
-            "gates": gates,
-            "all_ok": all_ok,
-        },
+    summary = {
+        "designs": len(tiers),
+        "rsim_bugs_found": sum(1 for row in rsim if row["status"] == Status.UNSAFE),
     }
-    write_json_atomic(out, report)
-    summary = report["summary"]
-    print(
-        f"\nwrote {out}: packed >= {packed_gate:g}x on "
-        f"{packed_hits}/{len(tier_rows)} designs, kernel >= {kernel_gate:g}x "
-        f"packed on {kernel_hits}/{len(tier_rows)}"
-        f"{' (gate waived: no compiler)' if kernel_gate_waived else ''}, "
-        f"verdicts {'all agree' if all_agree else 'DIVERGE'}, rsim "
-        f"{summary['rsim_bugs_found']} bug(s) "
-        f"{'validated' if rsim_ok else 'NOT VALIDATED'} -> "
-        f"{'OK' if all_ok else 'FAILED'}"
-    )
-    return all_ok
+    return gates, summary
 
 
 # ---------------------------------------------------------------------------
@@ -2759,13 +2494,7 @@ def _obs_noop_costs(iterations: int = 200_000) -> Dict[str, float]:
     }
 
 
-def run_obs_section(
-    names: List[str],
-    bound: int,
-    timeout: float,
-    jobs: Optional[int],
-    trace_out: str,
-) -> Dict[str, object]:
+def run_obs(args, bound: int, names: List[str]) -> Tuple[Dict, List[Dict]]:
     """Sweep the suite with telemetry off and on; measure what tracing costs.
 
     The *same* batch sweep (sequential ladder per item, warm pool, no cache
@@ -2780,8 +2509,10 @@ def run_obs_section(
 
     noop = _obs_noop_costs()
 
+    trace_out = args.trace_out
+
     def sweep() -> Tuple[float, object]:
-        runner = BatchRunner(jobs=jobs, timeout=timeout, bound=bound)
+        runner = BatchRunner(jobs=args.jobs, timeout=args.timeout, bound=bound)
         t0 = time.monotonic()
         report = runner.run([BatchItem.benchmark(name) for name in names])
         return time.monotonic() - t0, report
@@ -2813,17 +2544,24 @@ def run_obs_section(
     estimated_noop_s = (
         len(trace.spans) * noop["span_ns"] + counter_bumps * noop["counter_ns"]
     ) / 1e9
-    return {
-        "designs": names,
-        "noop_costs": noop,
-        "disabled": {
+    rows = [
+        {
+            "section": "noop",
+            **noop,
+            "estimated_disabled_overhead_s": round(estimated_noop_s, 6),
+        },
+        {
+            "section": "sweep",
+            "telemetry": "disabled",
             "wall_s": round(disabled_wall, 6),
             "verdicts": {
                 f"{d}:{p}": status
                 for (d, p), status in disabled_report.verdicts().items()
             },
         },
-        "enabled": {
+        {
+            "section": "sweep",
+            "telemetry": "enabled",
             "wall_s": round(enabled_wall, 6),
             "verdicts": {
                 f"{d}:{p}": status
@@ -2836,168 +2574,190 @@ def run_obs_section(
             "lint_problems": problems,
             "rollup": rollup,
         },
-        "estimated_disabled_overhead_s": round(estimated_noop_s, 6),
-    }
+    ]
+    return {"bound": bound, "timeout_s": args.timeout, "designs": names}, rows
 
 
-def write_obs_report(
-    section: Dict[str, object], out: str, bound: int, timeout: float
-) -> bool:
-    disabled = section["disabled"]
-    enabled = section["enabled"]
-    disabled_wall = disabled["wall_s"]
-    enabled_wall = enabled["wall_s"]
-    # 0.5s absolute slack keeps the ratio gate meaningful on fast suites
-    # where scheduler jitter alone exceeds 10% of the wall
-    enabled_ok = enabled_wall <= disabled_wall * 1.10 + 0.5
-    overhead = section["estimated_disabled_overhead_s"]
-    disabled_ok = overhead <= max(disabled_wall, 1e-9) * 0.01
-    lint_ok = not enabled["lint_problems"]
-    verdicts_ok = disabled["verdicts"] == enabled["verdicts"]
-    gates = {
-        "enabled_overhead": {
-            "enabled_wall_s": enabled_wall,
-            "disabled_wall_s": disabled_wall,
-            "max_ratio": 1.10,
-            "ok": enabled_ok,
-        },
-        "disabled_overhead": {
-            "estimated_s": overhead,
-            "max_fraction": 0.01,
-            "ok": disabled_ok,
-        },
-        "trace_lint": {"problems": enabled["lint_problems"], "ok": lint_ok},
-        "verdict_agreement": {"ok": verdicts_ok},
-    }
-    all_ok = all(gate["ok"] for gate in gates.values())
-    report = {
-        "config": {
-            "mode": "obs",
-            "cpus": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "bound": bound,
-            "timeout_s": timeout,
-        },
-        "obs": section,
-        "summary": {
-            "designs": len(section["designs"]),
-            "spans_recorded": enabled["spans"],
-            "processes": enabled["processes"],
-            "enabled_vs_disabled": (
-                round(enabled_wall / disabled_wall, 4) if disabled_wall else None
-            ),
-            "gates": gates,
-            "all_ok": all_ok,
-        },
-    }
-    write_json_atomic(out, report)
-    ratio = report["summary"]["enabled_vs_disabled"]
-    print(
-        f"\nwrote {out}: enabled {enabled_wall:.3f}s vs disabled "
-        f"{disabled_wall:.3f}s ({ratio}x), {enabled['spans']} spans across "
-        f"{enabled['processes']} process(es), "
-        f"lint {'clean' if lint_ok else 'PROBLEMS'}, "
-        f"verdicts {'agree' if verdicts_ok else 'DIVERGE'}, "
-        f"disabled tax ~{overhead * 1e3:.2f}ms -> "
-        f"{'OK' if all_ok else 'FAILED'}"
+def judge_obs(config: Dict, rows: List[Dict]) -> Tuple[Dict, Dict]:
+    disabled, enabled = section(rows, "sweep")
+    overhead = section(rows, "noop")[0]["estimated_disabled_overhead_s"]
+    ratio = (
+        round(enabled["wall_s"] / disabled["wall_s"], 4) if disabled["wall_s"] else None
     )
-    return all_ok
+    gates = {
+        # 0.5s absolute slack keeps the ratio gate meaningful on fast suites
+        # where scheduler jitter alone exceeds 10% of the wall
+        "enabled_overhead": gate(
+            enabled["wall_s"] <= disabled["wall_s"] * 1.10 + 0.5,
+            enabled_wall_s=enabled["wall_s"],
+            disabled_wall_s=disabled["wall_s"],
+            max_ratio=1.10,
+            slack_s=0.5,
+        ),
+        "disabled_overhead": gate(
+            overhead <= max(disabled["wall_s"], 1e-9) * 0.01,
+            estimated_s=overhead,
+            max_fraction=0.01,
+        ),
+        "trace_lint": gate(
+            not enabled["lint_problems"], problems=enabled["lint_problems"]
+        ),
+        "verdict_agreement": gate(disabled["verdicts"] == enabled["verdicts"]),
+    }
+    summary = {
+        "designs": len(config["designs"]),
+        "spans_recorded": enabled["spans"],
+        "processes": enabled["processes"],
+        "enabled_vs_disabled": ratio,
+    }
+    return gates, summary
+
+
+# ---------------------------------------------------------------------------
+# the mode table and the command line
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Mode:
+    """One ``repro-bench`` mode: its defaults, its run and its judge.
+
+    ``run(args, depth, names)`` returns ``(config, rows)``; ``judge(config,
+    rows)`` returns ``(gates, summary)``.  ``designs`` is the default design
+    list (``()``: the mode takes none); ``help`` is empty only for the
+    default mode, which has no flag.
+    """
+
+    out: str
+    run: Callable[..., Tuple[Dict, List[Dict]]]
+    judge: Callable[[Dict, List[Dict]], Tuple[Dict, Dict]]
+    depth: Optional[int] = None
+    designs: Sequence[str] = ()
+    trace: Optional[str] = None
+    help: str = ""
+
+
+SUITE = tuple(benchmark_names())
+
+MODES: Dict[str, Mode] = {
+    "unroll": Mode(
+        "BENCH_unroll.json", run_unroll, judge_unroll, 32, DEFAULT_BMC_BENCHMARKS
+    ),
+    "portfolio": Mode(
+        "BENCH_portfolio.json", run_portfolio, judge_portfolio, 80,
+        DEFAULT_PORTFOLIO_BENCHMARKS,
+        help="race the portfolio against individually timed engines",
+    ),
+    "certify": Mode(
+        "BENCH_certify.json", run_certify, judge_certify, 80, SUITE,
+        help="validate every definitive verdict's certificate on the suite "
+             "and demo cross-check adjudication",
+    ),
+    "incremental": Mode(
+        "BENCH_incremental.json", run_incremental, judge_incremental, 32,
+        DEFAULT_INCREMENTAL_BENCHMARKS,
+        help="per-bound k-induction/BMC and end-to-end kIkI timings for the "
+             "session vs template vs legacy solver lifecycles, plus a "
+             "session-vs-legacy verdict sweep over the whole suite",
+    ),
+    "serve": Mode(
+        "BENCH_serve.json", run_serve, judge_serve, 80, SUITE,
+        help="cold/warm cache sweeps over the suite through the batch runner, "
+             "budget-ladder vs all-at-once fan-out races, and "
+             "SAFE-certificate minimization timings",
+    ),
+    "faults": Mode(
+        "BENCH_faults.json", run_faults, judge_faults, 80,
+        DEFAULT_FAULTS_BENCHMARKS,
+        help="seeded fault-injection sweeps through the supervised batch "
+             "runner and an in-process hang interrupt",
+    ),
+    "serve-soak": Mode(
+        "BENCH_server.json",
+        partial(run_soak, run_serve_soak, "trace_a.jsonl",
+                {"chaos_rates": SOAK_SERVER_RATES}),
+        judge_serve_soak,
+        trace="BENCH_server_trace.jsonl",
+        help="drive a live chaos-seeded repro-serve through coalescing, "
+             "flood, disconnect, deadline, SIGKILL and journal-recovery "
+             "scenarios",
+    ),
+    "fleet-soak": Mode(
+        "BENCH_fleet.json",
+        partial(run_soak, run_fleet_soak, "trace_fleet.jsonl",
+                {"member_chaos_rates": FLEET_MEMBER_RATES,
+                 "router_chaos_rates": FLEET_ROUTER_RATES}),
+        judge_fleet_soak,
+        trace="BENCH_fleet_trace.jsonl",
+        help="primary + journal-replicated hot standby + solo shard behind "
+             "a repro-serve-router; SIGKILL the primary mid-computation",
+    ),
+    "kernels": Mode(
+        "BENCH_kernels.json", run_kernels, judge_kernels, None, SUITE,
+        help="time the scalar / bit-parallel packed / compiled-C replay "
+             "tiers, check their verdict agreement, and run the rsim "
+             "falsifier on the unsafe designs",
+    ),
+    "obs": Mode(
+        "BENCH_obs.json", run_obs, judge_obs, 80, DEFAULT_OBS_BENCHMARKS,
+        trace="BENCH_obs_trace.jsonl",
+        help="sweep the suite with telemetry disabled and enabled, lint the "
+             "exported trace, and gate the recording overhead",
+    ),
+}
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="time template vs legacy unrolling, or the parallel portfolio",
+        description="benchmark the verifier: without a mode flag, template vs "
+                    "legacy unrolling; every mode writes one {config, rows, "
+                    "gates, summary} report and exits 0 when every gate is ok",
     )
+    flags = parser.add_mutually_exclusive_group()
+    for name, mode in MODES.items():
+        if mode.help:
+            flags.add_argument(
+                f"--{name}", dest="mode", action="store_const", const=name,
+                help=f"{mode.help} -> {mode.out}",
+            )
+    parser.set_defaults(mode="unroll")
     parser.add_argument(
         "--out", default=None,
-        help="output JSON path (default BENCH_unroll.json, or BENCH_portfolio.json "
-             "in --portfolio mode)",
+        help="output JSON path (default: the mode's BENCH_*.json)",
     )
     parser.add_argument(
         "--depth", type=int, default=None,
-        help="BMC unroll depth / portfolio search-depth cap "
-             "(default 32, or 80 in --portfolio mode so the cycle-64/65 bugs "
-             "of the unsafe designs stay reachable)",
-    )
-    parser.add_argument(
-        "--portfolio", action="store_true",
-        help="portfolio mode: race the portfolio against individually timed engines",
-    )
-    parser.add_argument(
-        "--certify", action="store_true",
-        help="certification mode: validate every definitive verdict's certificate "
-             "on the benchmark suite and demo cross-check adjudication",
-    )
-    parser.add_argument(
-        "--incremental", action="store_true",
-        help="incremental-session mode: per-bound k-induction/kIkI timings for "
-             "the persistent-session vs template vs legacy solver lifecycles, "
-             "plus a session-vs-legacy verdict sweep over the whole suite",
-    )
-    parser.add_argument(
-        "--serve", action="store_true",
-        help="serving mode: cold/warm cache sweeps over the suite through the "
-             "batch runner, budget-ladder vs all-at-once fan-out races, and "
-             "SAFE-certificate minimization timings",
-    )
-    parser.add_argument(
-        "--faults", action="store_true",
-        help="chaos mode: seeded fault-injection sweeps through the "
-             "supervised batch runner, gating on zero wrong verdicts, zero "
-             "leaked processes, and self-healing caches",
-    )
-    parser.add_argument(
-        "--serve-soak", action="store_true",
-        help="server soak mode: drive a live chaos-seeded repro-serve "
-             "through coalescing, flood, disconnect, deadline, SIGKILL and "
-             "journal-recovery scenarios; gates on every accept being "
-             "answered-or-cleanly-rejected with zero wrong verdicts, zero "
-             "leaked processes and clean traces",
-    )
-    parser.add_argument(
-        "--fleet-soak", action="store_true",
-        help="fleet failover soak: primary + journal-replicated hot standby "
-             "+ solo shard behind a repro-serve-router, SIGKILL the primary "
-             "mid-computation; gates on zero lost / zero duplicate replies, "
-             "fleet-wide accept accounting, certificate-validated verdicts, "
-             "zero leaked process groups and a clean stitched cross-box "
-             "trace",
+        help="BMC unroll depth / search bound (default 32 for unrolling and "
+             "--incremental, 80 otherwise so the cycle-64/65 bugs of the "
+             "unsafe designs stay reachable)",
     )
     parser.add_argument(
         "--seed", type=int, default=0,
         help="--serve-soak/--fleet-soak: chaos seed (default 0)",
     )
     parser.add_argument(
-        "--seeds", type=int, default=3,
+        "--seeds", type=_positive_int, default=3,
         help="--faults: number of seeded chaos sweeps (seeds 0..N-1)",
     )
     parser.add_argument(
-        "--obs", action="store_true",
-        help="observability mode: sweep the suite with telemetry disabled and "
-             "enabled, lint the exported trace, and gate the recording "
-             "overhead (enabled <= 1.10x disabled wall; disabled no-op tax "
-             "<= 1%% of the sweep)",
-    )
-    parser.add_argument(
         "--trace-out", default=None,
-        help="--obs: path for the exported trace "
-             "(default BENCH_obs_trace.jsonl)",
+        help="--obs/--serve-soak/--fleet-soak: path for the exported trace "
+             "(default: the mode's BENCH_*_trace.jsonl)",
     )
     parser.add_argument(
-        "--kernels", action="store_true",
-        help="raw-speed mode: time the scalar / bit-parallel packed / "
-             "compiled-C replay tiers on identical random workloads, check "
-             "tier verdict agreement, and run the rsim falsifier on the "
-             "unsafe designs with packed-replay witness validation",
-    )
-    parser.add_argument(
-        "--cycles", type=int, default=64,
+        "--cycles", type=_positive_int, default=64,
         help="--kernels: cycles per replay sequence (default 64)",
     )
     parser.add_argument(
-        "--lanes", type=int, default=64,
+        "--lanes", type=_positive_int, default=64,
         help="--kernels: parallel sequences / packed lanes (default 64)",
     )
     parser.add_argument(
@@ -3012,35 +2772,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=None,
-        help="portfolio worker-process cap (default: one per configuration)",
+        help="worker-process cap for the portfolio races and batch sweeps "
+             "(default: one per configuration for a portfolio, one per CPU "
+             "for a batch sweep)",
     )
     parser.add_argument(
         "--cache-dir", default=None,
-        help="--serve: certificate cache directory (default: a fresh "
+        help="--serve/--faults: certificate cache directory (default: a fresh "
              "temporary directory, so the first sweep is genuinely cold)",
-    )
-    summary_group = parser.add_mutually_exclusive_group()
-    summary_group.add_argument(
-        "--summary", action="store_true",
-        help="--incremental: aggregate per-bound rows into one compact row "
-             "per (design, mode) — this is the default",
-    )
-    summary_group.add_argument(
-        "--full", action="store_true",
-        help="--incremental: keep the raw per-bound rows instead of the "
-             "compact per-design aggregates",
     )
     parser.add_argument(
         "--representation", default="word", choices=["word", "bit"],
-        help="frame encoding for the BMC section",
+        help="frame encoding for the BMC unrolling section",
     )
     parser.add_argument(
         "--benchmarks", nargs="*", default=None,
-        help=f"benchmarks for the BMC section (default: {' '.join(DEFAULT_BMC_BENCHMARKS)})",
+        help="designs to run (default: the mode's own list; for unrolling "
+             f"{' '.join(DEFAULT_BMC_BENCHMARKS)})",
     )
     parser.add_argument(
         "--engine-benchmarks", nargs="*", default=None,
-        help="benchmarks for the engine section",
+        help="designs for the unrolling mode's engine section "
+             f"(default: {' '.join(DEFAULT_ENGINE_BENCHMARKS)})",
     )
     parser.add_argument(
         "--engines", nargs="*", default=list(ENGINE_FACTORIES),
@@ -3061,219 +2814,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     _log.configure_from_args(args)
 
-    modes = (
-        args.portfolio, args.certify, args.incremental, args.serve,
-        args.faults, args.serve_soak, args.fleet_soak, args.kernels, args.obs,
-    )
-    if sum(map(bool, modes)) > 1:
-        parser.error(
-            "--portfolio, --certify, --incremental, --serve, --faults, "
-            "--serve-soak, --fleet-soak, --kernels and --obs are mutually "
-            "exclusive"
-        )
-
-    if args.fleet_soak:
-        import tempfile
-
-        workdir = tempfile.mkdtemp(prefix="repro-fleet-", dir="/tmp")
-        soak = run_fleet_soak(args.seed, args.timeout, workdir)
-        out = args.out or "BENCH_fleet.json"
-        trace_out = args.trace_out or "BENCH_fleet_trace.jsonl"
-        return 0 if write_fleet_report(soak, out, args.timeout, trace_out) else 1
-
-    if args.serve_soak:
-        import tempfile
-
-        workdir = tempfile.mkdtemp(prefix="repro-soak-", dir="/tmp")
-        soak = run_serve_soak(args.seed, args.timeout, workdir)
-        out = args.out or "BENCH_server.json"
-        trace_out = args.trace_out or "BENCH_server_trace.jsonl"
-        return 0 if write_server_report(soak, out, args.timeout, trace_out) else 1
-
-    if args.obs:
-        bound = args.depth if args.depth is not None else 80
-        names = args.benchmarks if args.benchmarks else DEFAULT_OBS_BENCHMARKS
-        unknown = [n for n in names if n not in benchmark_names()]
-        if unknown:
-            parser.error(f"unknown benchmarks: {', '.join(unknown)}")
-        trace_out = args.trace_out or "BENCH_obs_trace.jsonl"
-        section = run_obs_section(names, bound, args.timeout, args.jobs, trace_out)
-        out = args.out or "BENCH_obs.json"
-        return 0 if write_obs_report(section, out, bound, args.timeout) else 1
-
-    if args.kernels:
-        names = args.benchmarks if args.benchmarks else benchmark_names()
-        unknown = [n for n in names if n not in benchmark_names()]
-        if unknown:
-            parser.error(f"unknown benchmarks: {', '.join(unknown)}")
-        if args.cycles < 1 or args.lanes < 1:
-            parser.error("--cycles and --lanes must be >= 1")
-        tier_rows = run_kernels_section(names, args.cycles, args.lanes)
-        rsim_rows = run_kernels_rsim_section(names, args.timeout)
-        out = args.out or "BENCH_kernels.json"
-        return (
-            0
-            if write_kernels_report(
-                tier_rows, rsim_rows, out, args.cycles, args.lanes,
-                args.packed_gate, args.kernel_gate,
-            )
-            else 1
-        )
-
-    if args.faults:
-        bound = args.depth if args.depth is not None else 80
-        names = args.benchmarks if args.benchmarks else DEFAULT_FAULTS_BENCHMARKS
-        unknown = [n for n in names if n not in benchmark_names()]
-        if unknown:
-            parser.error(f"unknown benchmarks: {', '.join(unknown)}")
-        if args.seeds < 1:
-            parser.error("--seeds must be >= 1")
-        import tempfile
-
-        sweeps = []
-        for seed in range(args.seeds):
-            cache_dir = (
-                os.path.join(args.cache_dir, f"seed{seed}")
-                if args.cache_dir is not None
-                else tempfile.mkdtemp(prefix=f"repro-chaos-cache-{seed}-")
-            )
-            sweeps.append(
-                run_chaos_sweep(
-                    seed, names, bound, args.timeout, args.jobs, cache_dir
-                )
-            )
-        hang_demo = run_hang_interrupt_demo(args.timeout)
-        out = args.out or "BENCH_faults.json"
-        return (
-            0
-            if write_faults_report(sweeps, hang_demo, out, bound, args.timeout)
-            else 1
-        )
-
-    if args.serve:
-        bound = args.depth if args.depth is not None else 80
-        names = args.benchmarks if args.benchmarks else benchmark_names()
-        unknown = [n for n in names if n not in benchmark_names()]
-        if unknown:
-            parser.error(f"unknown benchmarks: {', '.join(unknown)}")
-        if args.cache_dir is not None:
-            cache_dir = args.cache_dir
-        else:
-            import tempfile
-
-            cache_dir = tempfile.mkdtemp(prefix="repro-serve-cache-")
-        sweep_data = run_serve_sweeps(
-            names, bound, args.timeout, args.jobs, cache_dir
-        )
-        ladder_names = [
-            n for n in DEFAULT_LADDER_BENCHMARKS if n in names
-        ] or names[:4]
-        ladder_rows = run_ladder_section(
-            ladder_names, bound, args.timeout, args.jobs
-        )
-        minimize_cases = [
-            (n, engine) for n, engine in DEFAULT_MINIMIZE_CASES if n in names
-        ] or [(n, "pdr") for n in names[:4]]
-        minimize_rows = run_minimization_section(minimize_cases, args.timeout)
-        out = args.out or "BENCH_serve.json"
-        return (
-            0
-            if write_serve_report(
-                sweep_data, ladder_rows, minimize_rows, out, bound, args.timeout
-            )
-            else 1
-        )
-
-    if args.incremental:
-        depth = args.depth if args.depth is not None else 32
-        names = args.benchmarks if args.benchmarks else DEFAULT_INCREMENTAL_BENCHMARKS
-        unknown = [n for n in names if n not in benchmark_names()]
-        if unknown:
-            parser.error(f"unknown benchmarks: {', '.join(unknown)}")
-        kind_rows = run_incremental_kinduction_section(names, depth, args.timeout)
-        kiki_rows = run_incremental_kiki_section(names, depth, args.timeout)
-        bmc_rows = run_incremental_bmc_section(names, depth, args.timeout)
-        sweep_rows = run_incremental_sweep(min(depth, 8), args.timeout)
-        if not args.full:
-            kind_rows = compact_incremental_rows(kind_rows)
-            kiki_rows = compact_incremental_rows(kiki_rows)
-            bmc_rows = compact_incremental_rows(bmc_rows)
-        out = args.out or "BENCH_incremental.json"
-        return (
-            0
-            if write_incremental_report(
-                kind_rows, kiki_rows, bmc_rows, sweep_rows, out, depth, args.timeout
-            )
-            else 1
-        )
-
-    if args.portfolio:
-        depth = args.depth if args.depth is not None else 80
-        names = args.benchmarks if args.benchmarks else DEFAULT_PORTFOLIO_BENCHMARKS
-        unknown = [n for n in names if n not in benchmark_names()]
-        if unknown:
-            parser.error(f"unknown benchmarks: {', '.join(unknown)}")
-        rows = run_portfolio_section(names, depth, args.timeout, jobs=args.jobs)
-        out = args.out or "BENCH_portfolio.json"
-        return 0 if write_portfolio_report(rows, out, depth, args.timeout) else 1
-
-    if args.certify:
-        bound = args.depth if args.depth is not None else 80
-        names = args.benchmarks if args.benchmarks else benchmark_names()
-        unknown = [n for n in names if n not in benchmark_names()]
-        if unknown:
-            parser.error(f"unknown benchmarks: {', '.join(unknown)}")
-        rows = run_certify_section(names, bound, args.timeout)
-        # inject the liar on the first unsafe design (fallback: the first)
-        demo_design = next(
-            (n for n in names if get_benchmark(n).expected == Status.UNSAFE), names[0]
-        )
-        adjudication = run_adjudication_demo(demo_design, bound, args.timeout)
-        out = args.out or "BENCH_certify.json"
-        return 0 if write_certify_report(rows, adjudication, out, bound, args.timeout) else 1
-
-    args.depth = args.depth if args.depth is not None else 32
-    args.out = args.out or "BENCH_unroll.json"
-    bmc_names = args.benchmarks if args.benchmarks else DEFAULT_BMC_BENCHMARKS
-    engine_names = (
-        args.engine_benchmarks if args.engine_benchmarks else DEFAULT_ENGINE_BENCHMARKS
-    )
-    unknown = [n for n in bmc_names + engine_names if n not in benchmark_names()]
+    mode = MODES[args.mode]
+    names = args.benchmarks or list(mode.designs)
+    unknown = [n for n in names + (args.engine_benchmarks or []) if n not in SUITE]
     if unknown:
         parser.error(f"unknown benchmarks: {', '.join(unknown)}")
-
-    bmc_rows = run_bmc_section(
-        bmc_names, args.depth, args.representation, repeats=max(1, args.repeats)
-    )
-    engine_rows = [] if args.skip_engines else run_engine_section(
-        engine_names, args.engines, args.timeout
-    )
-
-    speedups = {row["benchmark"]: row["encode_solve_speedup"] for row in bmc_rows}
-    all_match = all(row["verdicts_match"] for row in bmc_rows + engine_rows)
-    report = {
-        "meta": {
-            "tool": "repro.tools.bench",
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "depth": args.depth,
-            "representation": args.representation,
-        },
-        "bmc_unroll": bmc_rows,
-        "engines": engine_rows,
-        "summary": {
-            "bmc_encode_solve_speedups": speedups,
-            "benchmarks_at_or_above_3x": sum(1 for s in speedups.values() if s >= 3.0),
-            "all_verdicts_match": all_match,
-        },
-    }
-    write_json_atomic(args.out, report)
-    print(
-        f"\nwrote {args.out}: "
-        f"{report['summary']['benchmarks_at_or_above_3x']}/{len(speedups)} BMC "
-        f"benchmarks at >=3x, verdicts {'all match' if all_match else 'MISMATCH'}"
-    )
-    return 0 if all_match else 1
+    depth = args.depth if args.depth is not None else mode.depth
+    args.trace_out = args.trace_out or mode.trace
+    config, rows = mode.run(args, depth, names)
+    gates, summary = mode.judge(config, rows)
+    ok = write_report(args.out or mode.out, args.mode, config, rows, gates, summary)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -311,13 +311,14 @@ def test_default_ladder_orders_cost_tiers():
 
 def test_priors_reorder_a_rung(tmp_path):
     report = {
-        "portfolio": [
+        "rows": [
+            {"section": "single", "engine": "pdr", "runtime_s": 0.1, "status": "safe"},
             {
-                "singles": {
-                    "pdr[word]": {"runtime_s": 0.1, "status": "safe"},
-                    "interpolation[word]": {"runtime_s": 9.0, "status": "safe"},
-                }
-            }
+                "section": "single",
+                "engine": "interpolation",
+                "runtime_s": 9.0,
+                "status": "safe",
+            },
         ]
     }
     path = tmp_path / "BENCH_fake.json"
@@ -489,17 +490,15 @@ def test_batch_survives_unloadable_target(tmp_path):
 def test_learn_priors_canonicalizes_engine_aliases(tmp_path):
     """Batch sweeps record class names; priors must land on registry names."""
     report = {
-        "sweeps": {
-            "cold": {
-                "items": [
-                    {
-                        "source": "abstract-interpretation",
-                        "runtime_s": 0.01,
-                        "status": "safe",
-                    }
-                ]
+        "rows": [
+            {
+                "section": "sweep_item",
+                "source": "abstract-interpretation",
+                "engine": "abstract-interpretation",
+                "runtime_s": 0.01,
+                "status": "safe",
             }
-        }
+        ]
     }
     path = tmp_path / "BENCH_fake.json"
     path.write_text(json.dumps(report))

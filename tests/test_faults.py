@@ -376,10 +376,10 @@ def test_cache_tamper_fault_fires_on_save(tmp_path, safe_result):
 def test_learn_priors_skips_malformed_reports_with_a_warning(tmp_path):
     good = tmp_path / "BENCH_good.json"
     good.write_text(json.dumps({
-        "portfolio": [{"singles": {"bmc": {"runtime_s": 1.0, "status": "safe"}}}]
+        "rows": [{"engine": "bmc", "runtime_s": 1.0, "status": "safe"}]
     }))
-    (tmp_path / "BENCH_torn.json").write_text('{"portfolio": [')
-    (tmp_path / "BENCH_shape.json").write_text(json.dumps({"portfolio": ["garbage"]}))
+    (tmp_path / "BENCH_torn.json").write_text('{"rows": [')
+    (tmp_path / "BENCH_shape.json").write_text(json.dumps({"rows": ["garbage"]}))
     paths = [str(good), str(tmp_path / "BENCH_torn.json"), str(tmp_path / "BENCH_shape.json")]
     with pytest.warns(UserWarning, match="skipping"):
         priors = learn_priors(paths)
