@@ -19,7 +19,9 @@ Expected verdicts refer to the word-level semantics (the default
 ``representation="word"``).  Note one representation caveat inherited from
 the AIG lowering: environment constraints are folded into the *bad* output,
 i.e. enforced only at the property frame in the bit-level flow, so benchmarks
-relying on constraints (``fifo``) are only meaningful at the word level.
+relying on constraints (``fifo``) are only meaningful at the word level.  The
+certificate validator rejects the bit-level counterexamples this produces:
+their inputs break a constraint before the violation (``constraints-hold``).
 """
 
 from __future__ import annotations

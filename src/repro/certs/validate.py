@@ -3,10 +3,16 @@
 The validator deliberately shares no code with the producing engines: it
 never touches :class:`repro.engines.encoding.FrameEncoder`, the frame
 templates or any engine module.  Witnesses are replayed *concretely* through
-the reference simulator (:func:`repro.netlist.simulate.replay`); safety
-certificates are discharged with fresh SAT queries over expressions the
-validator stamps itself (``name#frame``), one fresh solver per obligation:
+the scalar reference simulator; safety certificates are discharged with
+fresh SAT queries over expressions the validator stamps itself
+(``name#frame``), one fresh solver per obligation:
 
+* witness — ``property-exists``; ``constraints-hold``: every environment
+  constraint holds at cycles ``0..c`` of the replay, where ``c`` is the
+  first violation; ``violation-reached``: the claimed property is violated
+  at some cycle ``c`` of the replay.  Both replay obligations are decided by
+  :func:`repro.netlist.simulate.first_violation`, the one violation rule
+  the SAT frames and the packed simulator also follow,
 * inductive invariant ``Inv`` — ``Init ∧ C ⊆ Inv``, ``Inv ∧ C ∧ T ⊆ Inv′``
   and ``Inv ∧ C ⊆ P`` (``C`` are the design's environment constraints, which
   scope reachability),
@@ -43,11 +49,10 @@ from repro.exprs import (
     bv_ne,
     bv_var,
     collect_vars,
-    evaluate,
 )
 from repro.exprs.substitute import rename
 from repro.netlist import TransitionSystem
-from repro.netlist.simulate import replay
+from repro.netlist.simulate import first_violation
 from repro.obs import telemetry as _telemetry
 from repro.smt import BVResult, BVSolver
 
@@ -97,43 +102,14 @@ class ValidationResult:
         }
 
 
-#: witness replay backends: the scalar reference interpreter, or the
-#: bit-parallel packed simulator cross-checked against it
-REPLAY_BACKENDS = ("scalar", "packed")
-
-#: how many leading cycles of a packed replay are re-run scalar by default
-DEFAULT_CROSSCHECK_CYCLES = 8
-
-
 class CertificateValidator:
-    """Discharges certificate obligations against one transition system.
+    """Discharges certificate obligations against one transition system."""
 
-    ``replay_backend`` selects how witnesses are replayed: ``"scalar"``
-    (default) uses the reference interpreter; ``"packed"`` uses the
-    bit-parallel simulator and adds a ``replay-crosscheck`` obligation that
-    re-runs the first ``crosscheck_cycles`` cycles through the scalar
-    interpreter and fails on any per-cycle divergence — the packed verdict
-    is never trusted without scalar agreement on the checked prefix.
-    """
-
-    def __init__(
-        self,
-        system: TransitionSystem,
-        timeout: Optional[float] = None,
-        replay_backend: str = "scalar",
-        crosscheck_cycles: int = DEFAULT_CROSSCHECK_CYCLES,
-    ) -> None:
-        if replay_backend not in REPLAY_BACKENDS:
-            raise ValueError(
-                f"unknown replay backend {replay_backend!r}; "
-                f"expected one of {REPLAY_BACKENDS}"
-            )
+    def __init__(self, system: TransitionSystem, timeout: Optional[float] = None) -> None:
         self.system = system
         self.flat = system.flattened()
         self.flat.validate()
         self.timeout = timeout
-        self.replay_backend = replay_backend
-        self.crosscheck_cycles = crosscheck_cycles
         self._deadline: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -193,74 +169,34 @@ class CertificateValidator:
             result.obligations.append(Obligation("violation-reached", FAILED))
             return result
 
-        # replay the full trace and evaluate the *claimed* property per cycle
-        # (another property failing earlier must not mask the violation)
-        if self.replay_backend == "packed":
-            observed_cycle = self._packed_replay(result, witness, prop.name)
-            if result.failed_obligations():
-                return result
-        else:
-            trace = replay(self.system, witness.input_sequence())
-            observed_cycle = None
-            for step in trace.steps:
-                env = {**step.state, **step.inputs, **step.wires}
-                if evaluate(prop.expr, env) == 0:
-                    observed_cycle = step.cycle
-                    break
-        if observed_cycle is None:
+        # only the *claimed* property is watched, so another property failing
+        # earlier cannot mask the violation
+        verdict = first_violation(
+            self.system, witness.input_sequence(), properties=[prop.name]
+        )
+        if verdict.constraint_failed_at is not None:
+            result.reason = (
+                f"an environment constraint fails at cycle "
+                f"{verdict.constraint_failed_at}, before any violation of "
+                f"{witness.property_name!r}"
+            )
+            result.obligations.append(Obligation("constraints-hold", FAILED, result.reason))
+            return result
+        if not verdict.violated:
             result.reason = (
                 f"replay never violates {witness.property_name!r} "
                 f"within {witness.length} cycles"
             )
             result.obligations.append(Obligation("violation-reached", FAILED, result.reason))
             return result
-        note = f"violated at cycle {observed_cycle} (claimed {witness.violation_cycle})"
+        result.obligations.append(
+            Obligation("constraints-hold", HOLDS, f"at cycles 0..{verdict.cycle}")
+        )
+        note = f"violated at cycle {verdict.cycle} (claimed {witness.violation_cycle})"
         result.obligations.append(Obligation("violation-reached", HOLDS, note))
         result.ok = True
         result.reason = note
         return result
-
-    def _packed_replay(
-        self, result: ValidationResult, witness: Witness, property_name: str
-    ) -> Optional[int]:
-        """Replay the witness bit-parallel; cross-check a prefix scalar.
-
-        Appends the ``replay-crosscheck`` obligation to ``result`` and
-        returns the first cycle at which the claimed property evaluates to 0
-        (``None`` if it never does).  The property is read off the raw truth
-        plane rather than the constraint-alive mask so the packed path agrees
-        exactly with the scalar path above, which also ignores constraints
-        during witness replay.
-        """
-        from repro.netlist.bitsim import (
-            PackedSimulator,
-            SimulationMismatch,
-            crosscheck_lane,
-        )
-
-        simulator = PackedSimulator(self.system, lanes=1)
-        run = simulator.replay(witness.input_sequence())
-        try:
-            compared = crosscheck_lane(
-                self.system, run, lane=0, cycles=self.crosscheck_cycles
-            )
-        except SimulationMismatch as mismatch:
-            result.reason = f"packed/scalar replay divergence: {mismatch}"
-            result.obligations.append(
-                Obligation("replay-crosscheck", FAILED, str(mismatch))
-            )
-            return None
-        result.obligations.append(
-            Obligation(
-                "replay-crosscheck",
-                HOLDS,
-                f"first {compared} cycles agree with the scalar interpreter",
-            )
-        )
-        for cycle in range(run.cycles):
-            if (run.prop_values[cycle][property_name] & 1) == 0:
-                return cycle
-        return None
 
     # ------------------------------------------------------------------
     # expression stamping (independent of the engines' frame encoder)
@@ -483,28 +419,14 @@ _KINDS_FOR_STATUS = {
 
 
 def validate_certificate(
-    system: TransitionSystem,
-    certificate,
-    timeout: Optional[float] = None,
-    replay_backend: str = "scalar",
-    crosscheck_cycles: int = DEFAULT_CROSSCHECK_CYCLES,
+    system: TransitionSystem, certificate, timeout: Optional[float] = None
 ) -> ValidationResult:
     """Validate one certificate against a design."""
-    validator = CertificateValidator(
-        system,
-        timeout=timeout,
-        replay_backend=replay_backend,
-        crosscheck_cycles=crosscheck_cycles,
-    )
-    return validator.validate(certificate)
+    return CertificateValidator(system, timeout=timeout).validate(certificate)
 
 
 def validate_result(
-    system: TransitionSystem,
-    result,
-    timeout: Optional[float] = None,
-    replay_backend: str = "scalar",
-    crosscheck_cycles: int = DEFAULT_CROSSCHECK_CYCLES,
+    system: TransitionSystem, result, timeout: Optional[float] = None
 ) -> ValidationResult:
     """Validate the certificate attached to a :class:`VerificationResult`.
 
@@ -542,10 +464,4 @@ def validate_result(
                 f"justify a {status} verdict"
             ),
         )
-    return validate_certificate(
-        system,
-        certificate,
-        timeout=timeout,
-        replay_backend=replay_backend,
-        crosscheck_cycles=crosscheck_cycles,
-    )
+    return validate_certificate(system, certificate, timeout=timeout)

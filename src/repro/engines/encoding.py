@@ -909,7 +909,7 @@ class FrameEncoder:
 
         Every declared input is valuated at every frame (unconstrained bits
         default to 0) so counterexample traces fully determine a concrete
-        replay through :func:`repro.netlist.simulate.replay`.
+        replay through :func:`repro.netlist.simulate.first_violation`.
         """
         values = {}
         for name, width in self.flat.inputs.items():

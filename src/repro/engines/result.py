@@ -52,7 +52,7 @@ class Counterexample:
 
         Inputs the trace does not pin default to 0 (and values are truncated
         to the declared width), so replaying the sequence through
-        :func:`repro.netlist.simulate.replay` is deterministic.
+        :func:`repro.netlist.simulate.first_violation` is deterministic.
         """
         sequence = []
         for step in self.steps:

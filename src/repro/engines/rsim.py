@@ -9,8 +9,9 @@ milliseconds — before any SAT machinery is even constructed — which is why i
 sits on the budget ladder's cheap rung.
 
 Trust: a packed hit is never reported directly.  The violating lane's input
-sequence is re-replayed through the scalar reference interpreter and must
-violate the same property at the same cycle; disagreement raises
+sequence is re-replayed through the scalar violation rule
+(:func:`repro.netlist.simulate.first_violation`) and must violate the same
+property at the same cycle; disagreement raises
 :class:`~repro.netlist.bitsim.SimulationMismatch` (the cross-checked-verdict
 pattern), so a packed-simulation bug surfaces as a hard error, not a wrong
 verdict.  Runs that find nothing return UNKNOWN — random simulation can
@@ -27,7 +28,7 @@ from repro.engines.base import Engine, EngineCapabilities
 from repro.engines.result import Budget, Counterexample, Status, VerificationResult
 from repro.netlist import TransitionSystem
 from repro.netlist.bitsim import PackedSimulator, SimulationMismatch
-from repro.netlist.simulate import Simulator
+from repro.netlist.simulate import first_violation
 
 
 class RandomSimulationEngine(Engine):
@@ -125,27 +126,17 @@ class RandomSimulationEngine(Engine):
 
     # ------------------------------------------------------------------
     def _scalar_confirm(self, property_name, inputs, cycle) -> None:
-        """Replay the violating lane through the reference interpreter.
+        """Replay the violating lane through the scalar violation rule.
 
         The packed hit must reproduce exactly — the *claimed* property first
         fails at the *claimed* cycle — before it is allowed to become a
         verdict (cross-checked-verdict pattern: the fast path cannot change
         an answer, only find it faster).
         """
-        from repro.exprs import evaluate
-
-        prop = self.system.property_by_name(property_name)
-        simulator = Simulator(self.system)
-        first_failure: Optional[int] = None
-        for index, step_inputs in enumerate(inputs):
-            env = simulator._environment(step_inputs)
-            if evaluate(prop.expr, env) == 0:
-                first_failure = index
-                break
-            simulator.step(step_inputs)
-        if first_failure != cycle:
+        scalar = first_violation(self.system, inputs, properties=[property_name])
+        if scalar.cycle != cycle:
             raise SimulationMismatch(
                 f"{self.system.name}: packed violation of {property_name!r} at "
                 f"cycle {cycle} did not reproduce in the scalar interpreter "
-                f"(scalar first failure: {first_failure})"
+                f"(scalar first failure: {scalar.cycle})"
             )

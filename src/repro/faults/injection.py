@@ -29,7 +29,6 @@ from repro.faults.plan import (
     HANG_HARD,
     HEARTBEAT_BLACKOUT,
     JOURNAL_TORN,
-    KERNEL_MISCOMPILE,
     QUEUE_FLOOD,
     REPL_LINK_DROP,
     ROUTER_PARTITION,
@@ -199,17 +198,6 @@ def fail_spawn(key: str) -> bool:
     """Whether a supervised process spawn should fail at site ``key``."""
     plan = _PLAN
     return plan is not None and plan.decide(SPAWN_FAIL, key, _ATTEMPT)
-
-
-def forge_kernel_output(key: str) -> bool:
-    """Whether a compiled kernel's replay output should be corrupted at ``key``.
-
-    Consulted by :meth:`repro.kernels.ckernel.CompiledKernel.replay_checked`
-    *before* its scalar cross-check runs, so a fired fault exercises the full
-    detect-and-fall-back path rather than bypassing it.
-    """
-    plan = _PLAN
-    return plan is not None and plan.decide(KERNEL_MISCOMPILE, key, _ATTEMPT)
 
 
 def client_disconnect(key: str) -> bool:

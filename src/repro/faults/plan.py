@@ -31,9 +31,6 @@ CACHE_CORRUPT = "cache-corrupt"
 CACHE_TRUNCATE = "cache-truncate"
 #: flip the engine's verdict and attach a forged certificate (the liar)
 CERT_FORGE = "cert-forge"
-#: corrupt a compiled kernel's replay output (the scalar cross-check must
-#: catch it and demote the query to the pure-Python tier, never change it)
-KERNEL_MISCOMPILE = "kernel-miscompile"
 #: serve: the client hangs up mid-request (the server must cancel cleanly)
 CLIENT_DISCONNECT = "client-disconnect"
 #: serve: a burst of extra requests beyond the admission cap (the server
@@ -66,7 +63,6 @@ FAULT_KINDS = (
     CACHE_CORRUPT,
     CACHE_TRUNCATE,
     CERT_FORGE,
-    KERNEL_MISCOMPILE,
     CLIENT_DISCONNECT,
     QUEUE_FLOOD,
     JOURNAL_TORN,

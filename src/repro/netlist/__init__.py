@@ -11,13 +11,13 @@ from repro.netlist.transition import (
     TransitionSystem,
     TransitionSystemError,
 )
-from repro.netlist.simulate import Simulator, Trace, TraceStep
+from repro.netlist.simulate import ReplayVerdict, Simulator, first_violation
 
 __all__ = [
     "SafetyProperty",
     "TransitionSystem",
     "TransitionSystemError",
+    "ReplayVerdict",
     "Simulator",
-    "Trace",
-    "TraceStep",
+    "first_violation",
 ]

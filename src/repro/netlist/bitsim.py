@@ -2,7 +2,7 @@
 
 The scalar reference simulator (:mod:`repro.netlist.simulate`) evaluates one
 input vector per expression-tree walk — a pure-Python interpreter loop that
-floors witness replay, random falsification and invariant filtering.  This
+floors random falsification and invariant filtering.  This
 module escapes that floor without leaving Python: every signal of width ``w``
 is represented *transposed*, as a tuple of ``w`` Python ints (bit planes)
 where bit ``i`` of plane ``b`` carries bit ``b`` of lane ``i``'s value.  One
@@ -16,10 +16,12 @@ add/sub/compares, shift-and-add multiplication, barrel shifters muxed on the
 shift amount's planes, sign-plane flips for the signed comparisons, and a
 per-lane transpose fallback for the (rare) division operators.
 
-The packed tier is gated by the repo's cross-checked-verdict pattern: lanes
-are spot-checked against the scalar interpreter and any divergence raises
-:class:`SimulationMismatch` — the fast path can never silently change an
-answer.
+The packed simulator never decides a verdict on its own: the rsim engine
+re-replays a violating lane through the scalar rule
+(:func:`repro.netlist.simulate.first_violation`) and raises
+:class:`SimulationMismatch` on disagreement, and :func:`crosscheck_lane`
+compares any lane with the scalar :class:`~repro.netlist.simulate.Simulator`
+register by register and property by property.
 """
 
 from __future__ import annotations
@@ -545,10 +547,8 @@ class _StepCompiler:
             temp = self.fresh()
             self.lines.append(f"    {temp} = I[{name!r}]")
             self.signals[name] = temp
-        for step_assignment in netlist.assignments:
-            if step_assignment.kind != "wire":
-                continue
-            self.signals[step_assignment.target] = self.emit(step_assignment.expr)
+        for name in netlist.wire_order:
+            self.signals[name] = self.emit(netlist.system.wires[name])
         next_temps = {
             name: self.emit(netlist.system.next[name]) for name in netlist.registers
         }
@@ -632,9 +632,10 @@ class PackedSimulator:
     """Evaluates 64 (or ``lanes``) independent input vectors per operation.
 
     The packed simulator shares its evaluation order with the scalar
-    :class:`repro.v2c.softnetlist.SoftwareNetlist` (the single scalar oracle of
-    the fast tiers): wires in topological order, properties and constraints on
-    the pre-update state, registers updated simultaneously.
+    reference :class:`~repro.netlist.simulate.Simulator`, the oracle
+    :func:`crosscheck_lane` compares it against: wires in topological order,
+    properties and constraints on the pre-update state, registers updated
+    simultaneously.
     """
 
     def __init__(self, system: TransitionSystem, lanes: int = DEFAULT_LANES) -> None:
@@ -713,9 +714,8 @@ class PackedSimulator:
 
         Lanes whose environment constraints fail fall out of the ``alive``
         mask from that cycle on; violations are only reported for lanes whose
-        constraints held through the violating cycle (matching the frame
-        semantics of the SAT engines, which assert the constraints at every
-        frame including the violation frame).
+        constraints held through the violating cycle — the rule of
+        :func:`~repro.netlist.simulate.first_violation`, lane-parallel.
         """
         watched = list(properties) if properties is not None else self.property_names
         run = PackedRun(lanes=self.lanes)
@@ -834,7 +834,7 @@ def crosscheck_lane(
                     f"{system.name}: lane {lane} register {name!r} diverged at "
                     f"cycle {cycle}: packed {expected[name]}, scalar {value}"
                 )
-        env = simulator._environment(inputs)
+        env = simulator.step(inputs)
         for prop in system.properties:
             packed_value = (run.prop_values[cycle][prop.name] >> lane) & 1
             scalar_value = 1 if evaluate(prop.expr, env) else 0
@@ -843,7 +843,6 @@ def crosscheck_lane(
                     f"{system.name}: lane {lane} property {prop.name!r} diverged "
                     f"at cycle {cycle}: packed {packed_value}, scalar {scalar_value}"
                 )
-        simulator.step(inputs)
     return end
 
 

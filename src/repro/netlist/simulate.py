@@ -1,59 +1,27 @@
-"""Cycle-accurate simulation of a transition system.
+"""Cycle-accurate scalar simulation of a transition system.
 
-The simulator is the executable reference semantics of the word-level
-netlist.  It is used to
+:class:`Simulator` is the executable reference semantics of the word-level
+netlist: registers start from their reset values, absent primary inputs
+read 0, wires are evaluated in the system's topological
+:meth:`~repro.netlist.TransitionSystem.wire_order`, and every register
+updates simultaneously from the cycle's pre-update values.
 
-* replay counterexample traces produced by the verification engines,
-* cross-validate the generated software-netlist (the paper's Section III.C
-  equivalence argument: bugs must manifest in the same clock cycle in both
-  models), and
-* drive the example applications.
+:func:`first_violation` is the one rule for "property ``p`` is violated at
+cycle ``c``" (the paper's Section III.C: a counterexample is trusted only
+when the cycle-accurate model reaches the violation in the claimed clock
+cycle).  Witness validation and the rsim engine's confirmation call it; the
+packed simulator's ``alive`` mask (:mod:`repro.netlist.bitsim`) applies the
+same rule to 64 lanes at once.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.exprs import evaluate
 from repro.exprs.nodes import to_unsigned
-from repro.netlist.transition import TransitionSystem, TransitionSystemError
-
-
-@dataclass
-class TraceStep:
-    """Signal valuation of one clock cycle."""
-
-    cycle: int
-    inputs: Dict[str, int] = field(default_factory=dict)
-    state: Dict[str, int] = field(default_factory=dict)
-    wires: Dict[str, int] = field(default_factory=dict)
-
-    def value(self, name: str) -> int:
-        """Return the value of any signal recorded in this step."""
-        for table in (self.state, self.inputs, self.wires):
-            if name in table:
-                return table[name]
-        raise KeyError(name)
-
-
-@dataclass
-class Trace:
-    """A sequence of trace steps, optionally ending in a property violation."""
-
-    steps: List[TraceStep] = field(default_factory=list)
-    violated_property: Optional[str] = None
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def last(self) -> TraceStep:
-        return self.steps[-1]
-
-    def values_of(self, name: str) -> List[int]:
-        """Return the per-cycle values of one signal."""
-        return [step.value(name) for step in self.steps]
+from repro.netlist.transition import TransitionSystem
 
 
 class Simulator:
@@ -62,16 +30,12 @@ class Simulator:
     def __init__(self, system: TransitionSystem) -> None:
         system.validate()
         self.system = system
-        self._state: Dict[str, int] = {}
-        self.cycle = 0
+        self._wire_order = system.wire_order()
         self.reset()
 
-    # ------------------------------------------------------------------
-    # state control
-    # ------------------------------------------------------------------
     def reset(self) -> None:
         """Reset all registers to their initial values."""
-        self._state = {
+        self._state: Dict[str, int] = {
             name: evaluate(init_expr, {}) for name, init_expr in self.system.init.items()
         }
         self.cycle = 0
@@ -81,108 +45,67 @@ class Simulator:
         """Current register values."""
         return dict(self._state)
 
-    def set_state(self, values: Mapping[str, int]) -> None:
-        """Force the current register values (used when replaying traces)."""
-        for name, value in values.items():
-            if name not in self.system.state_vars:
-                raise TransitionSystemError(f"unknown register {name!r}")
-            self._state[name] = to_unsigned(value, self.system.state_vars[name])
+    def step(self, inputs: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
+        """Advance one clock cycle.
 
-    # ------------------------------------------------------------------
-    # evaluation
-    # ------------------------------------------------------------------
-    def _environment(self, inputs: Mapping[str, int]) -> Dict[str, int]:
+        Returns every signal's value in the cycle, read before the register
+        update: registers, inputs and wires.
+        """
+        inputs = inputs or {}
         env: Dict[str, int] = dict(self._state)
         for name, width in self.system.inputs.items():
-            value = inputs.get(name, 0)
-            env[name] = to_unsigned(value, width)
-        # resolve wires (definitions may refer to other wires; iterate to fixpoint)
-        pending = dict(self.system.wires)
-        for _ in range(len(pending) + 1):
-            if not pending:
-                break
-            for name, expr in list(pending.items()):
-                try:
-                    env[name] = evaluate(expr, env)
-                    del pending[name]
-                except Exception:
-                    continue
-        if pending:
-            raise TransitionSystemError(
-                f"could not resolve wires {sorted(pending)} during simulation"
-            )
-        return env
-
-    def evaluate_signal(self, name: str, inputs: Optional[Mapping[str, int]] = None) -> int:
-        """Evaluate any signal in the current cycle for the given inputs."""
-        env = self._environment(inputs or {})
-        if name in env:
-            return env[name]
-        raise KeyError(name)
-
-    def check_properties(self, inputs: Optional[Mapping[str, int]] = None) -> Optional[str]:
-        """Return the name of the first violated property in the current cycle, or None."""
-        env = self._environment(inputs or {})
-        for prop in self.system.properties:
-            if evaluate(prop.expr, env) == 0:
-                return prop.name
-        return None
-
-    # ------------------------------------------------------------------
-    # stepping
-    # ------------------------------------------------------------------
-    def step(self, inputs: Optional[Mapping[str, int]] = None) -> TraceStep:
-        """Advance one clock cycle with the given input values (default 0)."""
-        inputs = dict(inputs or {})
-        env = self._environment(inputs)
-        step = TraceStep(
-            cycle=self.cycle,
-            inputs={name: env[name] for name in self.system.inputs},
-            state=dict(self._state),
-            wires={name: env[name] for name in self.system.wires},
-        )
-        next_state = {
+            env[name] = to_unsigned(inputs.get(name, 0), width)
+        for name in self._wire_order:
+            env[name] = evaluate(self.system.wires[name], env)
+        self._state = {
             name: evaluate(expr, env) for name, expr in self.system.next.items()
         }
-        self._state = next_state
         self.cycle += 1
-        return step
-
-    def run(
-        self,
-        input_sequence: Sequence[Mapping[str, int]],
-        stop_on_violation: bool = True,
-    ) -> Trace:
-        """Run the simulator for one step per element of ``input_sequence``."""
-        trace = Trace()
-        for inputs in input_sequence:
-            violated = self.check_properties(inputs)
-            trace.steps.append(self.step(inputs))
-            if violated is not None:
-                trace.violated_property = violated
-                if stop_on_violation:
-                    return trace
-        return trace
-
-    def run_random(
-        self,
-        cycles: int,
-        seed: int = 0,
-        stop_on_violation: bool = True,
-    ) -> Trace:
-        """Run with uniformly random primary inputs for ``cycles`` cycles."""
-        rng = random.Random(seed)
-        sequence = []
-        for _ in range(cycles):
-            sequence.append(
-                {
-                    name: rng.getrandbits(width)
-                    for name, width in self.system.inputs.items()
-                }
-            )
-        return self.run(sequence, stop_on_violation=stop_on_violation)
+        return env
 
 
-def replay(system: TransitionSystem, input_sequence: Sequence[Mapping[str, int]]) -> Trace:
-    """Convenience helper: simulate ``system`` from reset on a fixed input sequence."""
-    return Simulator(system).run(input_sequence, stop_on_violation=False)
+@dataclass(frozen=True)
+class ReplayVerdict:
+    """What :func:`first_violation` observed on one input sequence.
+
+    At most one of ``cycle`` and ``constraint_failed_at`` is set: the replay
+    ends at the first counted violation, or at the first cycle where an
+    environment constraint fails (no later violation can count).
+    """
+
+    cycle: Optional[int] = None
+    property_name: Optional[str] = None
+    constraint_failed_at: Optional[int] = None
+
+    @property
+    def violated(self) -> bool:
+        return self.cycle is not None
+
+
+def first_violation(
+    system: TransitionSystem,
+    input_sequence: Sequence[Mapping[str, int]],
+    properties: Optional[Sequence[str]] = None,
+) -> ReplayVerdict:
+    """Replay ``input_sequence`` from reset and find the first counted violation.
+
+    A violation of a watched property (``properties`` by name, default all)
+    at cycle ``c`` counts only if every environment constraint held at
+    cycles ``0..c`` — the SAT frames assert the constraints in every frame up
+    to and including the violation frame, and the packed simulator drops a
+    lane from its ``alive`` mask on the same condition.
+    """
+    watched = (
+        system.properties
+        if properties is None
+        else [system.property_by_name(name) for name in properties]
+    )
+    simulator = Simulator(system)
+    for cycle, inputs in enumerate(input_sequence):
+        env = simulator.step(inputs)
+        if any(evaluate(constraint, env) == 0 for constraint in system.constraints):
+            return ReplayVerdict(constraint_failed_at=cycle)
+        for prop in watched:
+            if evaluate(prop.expr, env) == 0:
+                return ReplayVerdict(cycle, prop.name)
+    return ReplayVerdict()

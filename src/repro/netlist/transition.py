@@ -176,38 +176,40 @@ class TransitionSystem:
         resolved = self._resolved_wires()
         return substitute(expr, resolved)
 
+    def wire_order(self) -> List[str]:
+        """Wire names in topological order of their wire-to-wire dependencies.
+
+        This is the evaluation order of one clock cycle's combinational logic
+        (the "intra-modular and inter-modular dependency analysis" of the
+        paper); ties are broken by name so the order is deterministic.
+        """
+        dependencies = {
+            name: {
+                var.name
+                for var in collect_vars(expr)
+                if var.name in self.wires and var.name != name
+            }
+            for name, expr in self.wires.items()
+        }
+        ordered: List[str] = []
+        placed: Set[str] = set()
+        while dependencies:
+            ready = sorted(name for name, deps in dependencies.items() if deps <= placed)
+            if not ready:
+                raise TransitionSystemError(
+                    f"combinational cycle through wires: {sorted(dependencies)}"
+                )
+            for name in ready:
+                ordered.append(name)
+                placed.add(name)
+                del dependencies[name]
+        return ordered
+
     def _resolved_wires(self) -> Dict[str, Expr]:
         """Resolve wire definitions so none refers to another wire."""
         resolved: Dict[str, Expr] = {}
-        remaining = dict(self.wires)
-        # iterate until fixed point; wire definitions are acyclic by construction
-        for _ in range(len(remaining) + 1):
-            progressed = False
-            for name, expr in list(remaining.items()):
-                deps = {v.name for v in collect_vars(expr)}
-                if deps & set(remaining) - {name}:
-                    unresolved = deps & set(remaining) - {name}
-                    if unresolved <= set(resolved):
-                        remaining[name] = substitute(expr, resolved)
-                        continue
-                    continue
-                resolved[name] = substitute(expr, resolved)
-                del remaining[name]
-                progressed = True
-            if not remaining:
-                break
-            if not progressed:
-                # substitute what we can and retry; if nothing changes we have a cycle
-                changed = False
-                for name, expr in list(remaining.items()):
-                    new_expr = substitute(expr, resolved)
-                    if new_expr is not expr:
-                        remaining[name] = new_expr
-                        changed = True
-                if not changed:
-                    raise TransitionSystemError(
-                        f"combinational cycle through wires: {sorted(remaining)}"
-                    )
+        for name in self.wire_order():
+            resolved[name] = substitute(self.wires[name], resolved)
         return resolved
 
     def flattened(self) -> "TransitionSystem":

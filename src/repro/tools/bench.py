@@ -2225,7 +2225,7 @@ def judge_fleet_soak(config: Dict, rows: List[Dict]) -> Tuple[Dict, Dict]:
 
 
 # ---------------------------------------------------------------------------
-# --kernels: the raw-speed replay tiers (scalar / packed / compiled)
+# --kernels: the two replay tiers (scalar reference / bit-parallel packed)
 # ---------------------------------------------------------------------------
 
 
@@ -2246,38 +2246,42 @@ def _random_workload(system, cycles: int, lanes: int, seed: int = 2016):
 def run_kernels_section(
     names: List[str], cycles: int, lanes: int, repeats: int = 3
 ) -> List[Dict]:
-    """Time the three replay tiers per design on one identical random workload.
+    """Time the scalar and packed replay tiers per design on one random workload.
 
     Methodology: the workload is ``lanes`` independent input sequences of
-    ``cycles`` cycles each.  Input marshalling (packing bit planes, flattening
-    the C input array) happens once *outside* the timed region, so the numbers
-    compare steady-state stepping throughput — the regime that matters for the
-    rsim falsifier and bulk witness replay, where one packing is amortized
-    over many runs.  The scalar tier steps every sequence through the
-    reference :class:`~repro.netlist.simulate.Simulator`; the packed tier runs
-    all ``lanes`` sequences in one bit-parallel pass; the compiled tier runs
-    the C replay loop once per sequence.  The scalar tier is timed once and
-    the fast tiers keep their best of ``repeats`` runs, which only ever
-    *understates* the reported speedups.
+    ``cycles`` cycles each.  Packing the bit planes happens once *outside*
+    the timed region, so the numbers compare steady-state stepping
+    throughput — the regime of the rsim falsifier, where one packing is
+    amortized over many runs.  Both tiers do the same work per cycle: step
+    the registers and evaluate every property and constraint.  The scalar
+    tier steps every sequence through the reference
+    :class:`~repro.netlist.simulate.Simulator`; the packed tier runs all
+    ``lanes`` sequences in one bit-parallel pass.  The scalar tier is timed
+    once and the packed tier keeps its best of ``repeats`` runs, which only
+    ever *understates* the reported speedup.
 
     Each row also records a verdict-agreement check: a sample of the
-    sequences is replayed through :func:`repro.kernels.checked_replay` (the
-    production tier ladder) and through the pure scalar reference, and the
-    (first violation cycle, property) pairs must match exactly.
+    sequences is replayed packed and through the scalar violation rule
+    (:func:`~repro.netlist.simulate.first_violation`), and the (first
+    violation cycle, property) pairs must match exactly.
     """
-    from repro.kernels import _scalar_replay, checked_replay, get_kernel
-    from repro.kernels.build import KernelUnavailable, compiler_available
+    from repro.exprs import evaluate
     from repro.netlist.bitsim import PackedSimulator, pack_values
-    from repro.netlist.simulate import Simulator
+    from repro.netlist.simulate import Simulator, first_violation
 
     rows: List[Dict] = []
     for name in names:
         system = get_benchmark(name).load()
         sequences = _random_workload(system, cycles, lanes)
+        checks = [prop.expr for prop in system.properties] + system.constraints
 
         start = time.perf_counter()
         for sequence in sequences:
-            Simulator(system).run(sequence, stop_on_violation=False)
+            simulator = Simulator(system)
+            for inputs in sequence:
+                env = simulator.step(inputs)
+                for expr in checks:
+                    evaluate(expr, env)
         scalar_s = time.perf_counter() - start
 
         packed = PackedSimulator(system, lanes=lanes)
@@ -2295,67 +2299,29 @@ def run_kernels_section(
             for _ in range(repeats)
         )
 
-        kernel_s = None
-        kernel_error = ""
-        if compiler_available():
-            try:
-                kernel = get_kernel(system)
-                import ctypes
-
-                n_regs = max(1, len(kernel.register_order))
-                flats = [kernel._pack_inputs(sequence) for sequence in sequences]
-
-                def _kernel_pass():
-                    state = (ctypes.c_uint64 * n_regs)()
-                    for flat in flats:
-                        kernel._kinit(state)
-                        kernel._kreplay(state, flat, cycles, 0, None)
-
-                kernel_s = min(_timed(_kernel_pass) for _ in range(repeats))
-            except KernelUnavailable as error:
-                kernel_error = str(error)
-
-        backend = None
+        single = PackedSimulator(system, lanes=1)
         verdicts_agree = True
-        demotions: List[str] = []
         for sequence in sequences[: min(4, lanes)]:
-            reference = _scalar_replay(system, sequence)
-            outcome = checked_replay(system, sequence)
-            backend = outcome.backend
-            demotions.extend(outcome.demotions)
-            if (outcome.first_violation, outcome.violated_property) != (
-                reference.first_violation,
-                reference.violated_property,
-            ):
+            hit = single.replay(sequence, record=False).violation
+            scalar = first_violation(system, sequence)
+            packed_hit = (hit.cycle, hit.property_name) if hit else (None, None)
+            if packed_hit != (scalar.cycle, scalar.property_name):
                 verdicts_agree = False
 
         row = {
-            "section": "kernel_tier",
+            "section": "replay_tier",
             "design": name,
             "cycles": cycles,
             "lanes": lanes,
             "scalar_s": round(scalar_s, 6),
             "packed_s": round(packed_s, 6),
-            "kernel_s": round(kernel_s, 6) if kernel_s is not None else None,
             "packed_speedup": round(scalar_s / packed_s, 2) if packed_s else None,
-            "kernel_speedup_vs_packed": (
-                round(packed_s / kernel_s, 2) if kernel_s else None
-            ),
-            "checked_replay_backend": backend,
-            "demotions": demotions,
             "verdicts_agree": verdicts_agree,
         }
-        if kernel_error:
-            row["kernel_error"] = kernel_error
         rows.append(row)
-        kernel_note = (
-            f"kernel {row['kernel_speedup_vs_packed']}x packed"
-            if kernel_s
-            else "kernel unavailable"
-        )
         _log.info(
             f"kernels {name:14s} scalar {scalar_s:8.3f}s  packed "
-            f"{packed_s:8.4f}s ({row['packed_speedup']}x)  {kernel_note}  "
+            f"{packed_s:8.4f}s ({row['packed_speedup']}x)  "
             f"verdicts {'agree' if verdicts_agree else 'DIVERGE'}"
         )
     return rows
@@ -2368,11 +2334,7 @@ def _timed(thunk) -> float:
 
 
 def run_kernels_rsim_section(names: List[str], timeout: float) -> List[Dict]:
-    """Run the rsim falsifier on the suite's unsafe designs, validating witnesses.
-
-    The witness validation deliberately uses the packed replay backend so the
-    bench also exercises the validator's ``replay-crosscheck`` obligation.
-    """
+    """Run the rsim falsifier on the suite's unsafe designs, validating witnesses."""
     from repro.engines.rsim import RandomSimulationEngine
 
     rows: List[Dict] = []
@@ -2384,10 +2346,9 @@ def run_kernels_rsim_section(names: List[str], timeout: float) -> List[Dict]:
         start = time.perf_counter()
         result = RandomSimulationEngine(system).verify(timeout=timeout)
         wall = time.perf_counter() - start
-        validated = False
-        if result.status == Status.UNSAFE and result.certificate is not None:
-            validation = validate_result(system, result, replay_backend="packed")
-            validated = validation.ok
+        validated = (
+            result.status == Status.UNSAFE and validate_result(system, result).ok
+        )
         row = {
             "section": "rsim",
             "design": name,
@@ -2395,8 +2356,8 @@ def run_kernels_rsim_section(names: List[str], timeout: float) -> List[Dict]:
             "wall_s": round(wall, 6),
             "violation_cycle": result.detail.get("violation_cycle"),
             "vectors": result.detail.get("vectors"),
-            "witness_validated_packed": validated,
-            "found_and_validated": result.status == Status.UNSAFE and validated,
+            "witness_validated": validated,
+            "found_and_validated": validated,
         }
         rows.append(row)
         _log.info(
@@ -2408,9 +2369,6 @@ def run_kernels_rsim_section(names: List[str], timeout: float) -> List[Dict]:
 
 
 def run_kernels(args, depth, names: List[str]) -> Tuple[Dict, List[Dict]]:
-    from repro.kernels.build import find_compiler
-
-    compiler = find_compiler()
     rows = run_kernels_section(names, args.cycles, args.lanes) + run_kernels_rsim_section(
         names, args.timeout
     )
@@ -2418,38 +2376,24 @@ def run_kernels(args, depth, names: List[str]) -> Tuple[Dict, List[Dict]]:
         "cycles": args.cycles,
         "lanes": args.lanes,
         "packed_gate": args.packed_gate,
-        "kernel_gate": args.kernel_gate,
-        "compiler": " ".join(compiler) if compiler else None,
     }
     return config, rows
 
 
 def judge_kernels(config: Dict, rows: List[Dict]) -> Tuple[Dict, Dict]:
-    tiers, rsim = section(rows, "kernel_tier"), section(rows, "rsim")
-
-    def designs_at(key: str, threshold: float) -> int:
-        return sum(
-            1 for row in tiers if row[key] is not None and row[key] >= threshold
-        )
-
-    packed_hits = designs_at("packed_speedup", config["packed_gate"])
-    kernel_hits = designs_at("kernel_speedup_vs_packed", config["kernel_gate"])
-    # with no compiler the kernel tier is legitimately absent and its gate is
-    # waived — the degradation itself is what the no-cc CI leg checks
-    waived = config["compiler"] is None
+    tiers, rsim = section(rows, "replay_tier"), section(rows, "rsim")
+    packed_hits = sum(
+        1
+        for row in tiers
+        if row["packed_speedup"] is not None
+        and row["packed_speedup"] >= config["packed_gate"]
+    )
     gates = {
         "packed_gate": gate(
             packed_hits >= 3,
             threshold=config["packed_gate"],
             designs_at_or_above=packed_hits,
             required=3,
-        ),
-        "kernel_gate": gate(
-            waived or kernel_hits >= 3,
-            threshold=config["kernel_gate"],
-            designs_at_or_above=kernel_hits,
-            required=3,
-            waived_no_compiler=waived,
         ),
         "verdict_agreement": gate(
             all(row["verdicts_agree"] for row in tiers),
@@ -2694,9 +2638,9 @@ MODES: Dict[str, Mode] = {
     ),
     "kernels": Mode(
         "BENCH_kernels.json", run_kernels, judge_kernels, None, SUITE,
-        help="time the scalar / bit-parallel packed / compiled-C replay "
-             "tiers, check their verdict agreement, and run the rsim "
-             "falsifier on the unsafe designs",
+        help="time the scalar and bit-parallel packed replay tiers, check "
+             "their verdict agreement, and run the rsim falsifier on the "
+             "unsafe designs",
     ),
     "obs": Mode(
         "BENCH_obs.json", run_obs, judge_obs, 80, DEFAULT_OBS_BENCHMARKS,
@@ -2764,11 +2708,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--packed-gate", type=float, default=20.0,
         help="--kernels: required packed-vs-scalar speedup on >= 3 designs "
              "(default 20)",
-    )
-    parser.add_argument(
-        "--kernel-gate", type=float, default=5.0,
-        help="--kernels: required compiled-vs-packed speedup on >= 3 designs "
-             "(default 5; waived when no C compiler is available)",
     )
     parser.add_argument(
         "--jobs", type=int, default=None,

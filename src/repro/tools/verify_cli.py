@@ -218,23 +218,14 @@ def _classify(status: str, expected: Optional[str]) -> str:
     return status
 
 
-def _certify(
-    task: VerificationTask,
-    result,
-    status: str,
-    timeout: float,
-    fast_replay: bool = False,
-) -> str:
+def _certify(task: VerificationTask, result, status: str, timeout: float) -> str:
     """Validate the result's certificate; demote an unvalidated definitive verdict.
 
     ``result`` is the engine or portfolio result carrying ``certificate``;
     returns the (possibly demoted) final status.  A WRONG verdict — a
     definitive claim against the known expectation — is validated too when
     it carries a certificate, so the report says whether the engine or the
-    expectation is wrong; it stays WRONG either way.  With ``fast_replay``
-    witnesses are replayed through the bit-parallel simulator, gated by the
-    validator's ``replay-crosscheck`` obligation against the scalar
-    interpreter.
+    expectation is wrong; it stays WRONG either way.
     """
     certificate = getattr(result, "certificate", None)
     if status not in Status.DEFINITIVE and certificate is None:
@@ -245,16 +236,11 @@ def _certify(
     except Exception as error:  # noqa: BLE001 - loader failures
         print(f"\ncertification: cannot reload {task.name!r}: {error}")
         return Status.WRONG
-    replay_backend = "packed" if fast_replay else "scalar"
     if status in Status.DEFINITIVE:
-        validation = validate_result(
-            system, result, timeout=timeout, replay_backend=replay_backend
-        )
+        validation = validate_result(system, result, timeout=timeout)
     else:
         # the status no longer names the claim: check the certificate itself
-        validation = validate_certificate(
-            system, certificate, timeout=timeout, replay_backend=replay_backend
-        )
+        validation = validate_certificate(system, certificate, timeout=timeout)
     print("\ncertification:")
     for obligation in validation.obligations:
         note = f"  ({obligation.note})" if obligation.note else ""
@@ -351,11 +337,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--certify", action="store_true",
                         help="validate the verdict's certificate with the independent "
                              "checker; unvalidated definitive verdicts become WRONG")
-    parser.add_argument("--fast-replay", action="store_true",
-                        help="replay witnesses through the bit-parallel packed "
-                             "simulator instead of the scalar interpreter; the "
-                             "validator cross-checks the first cycles scalar "
-                             "and fails on any divergence")
     parser.add_argument("--save-certificate", metavar="PATH", default=None,
                         help="write the certificate JSON to PATH (witnesses also "
                              "get an AIGER .cex stimulus next to it)")
@@ -495,10 +476,7 @@ def _dispatch(parser: argparse.ArgumentParser, args, modes: List[str]) -> int:
                 if args.certify:
                     # --certify promises the per-obligation report and its
                     # demotion semantics on every run, hit or miss
-                    result.status = _certify(
-                        task, result, result.status, args.timeout,
-                        fast_replay=args.fast_replay,
-                    )
+                    result.status = _certify(task, result, result.status, args.timeout)
                 if args.save_certificate:
                     _save_certificate(args.save_certificate, task, result)
                 return _EXIT_CODES.get(result.status, 1)
@@ -539,10 +517,7 @@ def _dispatch(parser: argparse.ArgumentParser, args, modes: List[str]) -> int:
         result.status = _classify(result.status, expected)
         _print_single(result, verbose=args.verbose)
         if args.certify:
-            result.status = _certify(
-                task, result, result.status, args.timeout,
-                fast_replay=args.fast_replay,
-            )
+            result.status = _certify(task, result, result.status, args.timeout)
         if args.save_certificate:
             _save_certificate(args.save_certificate, task, result)
         _store_in_cache(cache, task, result, representation)
@@ -606,10 +581,7 @@ def _dispatch(parser: argparse.ArgumentParser, args, modes: List[str]) -> int:
         )
     final_status = result.status
     if args.certify:
-        final_status = _certify(
-            task, result, final_status, args.timeout,
-            fast_replay=args.fast_replay,
-        )
+        final_status = _certify(task, result, final_status, args.timeout)
     if args.save_certificate:
         _save_certificate(args.save_certificate, task, result)
     _store_in_cache(cache, task, result, representation)

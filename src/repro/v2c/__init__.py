@@ -9,18 +9,20 @@ Verilog RTL into
   top-level step function corresponds to one clock cycle, with the safety
   properties instrumented as assertions and the primary inputs assigned
   non-deterministic values, and
-* an executable Python model of the same program
-  (:class:`repro.v2c.softnetlist.SoftwareNetlist`) used by the software-level
-  verification engines and by the equivalence cross-checks of Section III.C.
+* the program structure that C is printed from
+  (:class:`repro.v2c.softnetlist.SoftwareNetlist`): registers, inputs, wires
+  in dependency order and the instrumented assertions.  The bit-parallel
+  simulator (:mod:`repro.netlist.bitsim`) compiles the same structure into a
+  Python step function; the scalar reference semantics of Section III.C's
+  same-cycle argument is :mod:`repro.netlist.simulate`.
 """
 
-from repro.v2c.softnetlist import SoftwareNetlist, SoftwareNetlistError
+from repro.v2c.softnetlist import SoftwareNetlist
 from repro.v2c.codegen import CCodeGenerator, generate_c
 from repro.v2c.instrument import instrument_properties
 
 __all__ = [
     "SoftwareNetlist",
-    "SoftwareNetlistError",
     "CCodeGenerator",
     "generate_c",
     "instrument_properties",

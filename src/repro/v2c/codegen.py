@@ -21,7 +21,7 @@ the style expected by SV-COMP software verifiers (CBMC, CPAChecker, 2LS, ...).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.exprs import Expr
 from repro.exprs.nodes import Const, Op, Var, mask
@@ -332,165 +332,3 @@ def generate_c(
     """Convenience wrapper: generate the software-netlist C code for a system."""
     return CCodeGenerator(system, name=name).generate(include_main=include_main)
 
-
-#: version of the flat-array kernel ABI below; baked into the build-cache key
-KERNEL_ABI_VERSION = 1
-
-
-class KernelCodeGenerator(CCodeGenerator):
-    """Emits the ctypes-friendly *kernel* flavour of the software-netlist.
-
-    The verification harness above instruments properties as ``assert()`` and
-    models state as nested structs — the right shape for feeding software
-    analyzers, the wrong one for an in-process bridge.  The kernel flavour
-    instead exposes a flat ``uint64_t`` array ABI (one slot per register /
-    input, declaration order), returns property violations as a bitmask
-    rather than aborting, and adds a C-side replay loop so ctypes overhead is
-    paid once per input *sequence*, not once per cycle:
-
-    ``void <name>_kinit(uint64_t *state)``
-        Load the reset values.
-    ``uint32_t <name>_kstep(uint64_t *state, const uint64_t *in, uint32_t *cviol)``
-        One clock cycle; returns the pre-update property-violation bitmask
-        (bit *i* set = property *i* violated) and stores the environment-
-        constraint-violation bitmask through ``cviol``.
-    ``long long <name>_kreplay(uint64_t *state, const uint64_t *inputs,
-    long long ncycles, int stop_on_violation, uint64_t *trace)``
-        Replay ``ncycles`` rows of ``inputs`` (row-major, one slot per input);
-        returns the first cycle whose property violation fires while every
-        environment constraint so far held, or -1.  When ``trace`` is non-NULL
-        each cycle appends a row of ``n_regs + 2`` words: the pre-update
-        register values, the violation bitmask and the constraint bitmask —
-        the raw material of the Python-side cross-check.
-    """
-
-    def generate_kernel(self) -> str:
-        """Return the complete kernel translation unit."""
-        self.register_order = list(self.netlist.registers)
-        self.input_order = list(self.netlist.inputs)
-        if len(self.netlist.assertions) > 32 or len(self.netlist.constraints) > 32:
-            raise ValueError("kernel bitmasks support at most 32 properties/constraints")
-        for width in self.system.signal_widths().values():
-            _c_type(width)  # raises for widths the C backend cannot hold
-        sections = [
-            self._kernel_header(),
-            self._kernel_init(),
-            self._kernel_step(),
-            self._kernel_replay(),
-        ]
-        return "\n".join(sections)
-
-    def _kernel_header(self) -> str:
-        lines = [
-            "/*",
-            f" * Compiled step kernel generated by repro.v2c from module "
-            f"'{self.system.name}' (ABI v{KERNEL_ABI_VERSION}).",
-            " * Flat uint64_t array ABI for the ctypes bridge; properties are",
-            " * reported as a violation bitmask instead of assert().",
-            " */",
-            "#include <stdint.h>",
-            "",
-            f"#define N_REGS {len(self.register_order)}",
-            f"#define N_INPUTS {len(self.input_order)}",
-            "",
-        ]
-        return "\n".join(lines)
-
-    def _kernel_init(self) -> str:
-        lines = [f"void {self.module_name}_kinit(uint64_t *s) {{"]
-        for index, name in enumerate(self.register_order):
-            value = self.netlist.initial_values[name]
-            lines.append(f"    s[{index}] = {value}ULL; /* {name} */")
-        lines.append("}")
-        lines.append("")
-        return "\n".join(lines)
-
-    def _kernel_step(self) -> str:
-        widths = self.system.signal_widths()
-        lines = [
-            f"uint32_t {self.module_name}_kstep(uint64_t *s, const uint64_t *in, "
-            "uint32_t *cviol) {",
-        ]
-        for index, name in enumerate(self.register_order):
-            lines.append(f"    const uint64_t reg_{_sanitize(name)} = s[{index}];")
-        for index, name in enumerate(self.input_order):
-            width = self.netlist.inputs[name]
-            lines.append(
-                f"    const uint64_t in_{_sanitize(name)} = "
-                f"in[{index}] & {_mask_literal(width)};"
-            )
-        for wire in self.netlist.wire_order:
-            expr = self.system.wires[wire]
-            width = widths[wire]
-            lines.append(
-                f"    const uint64_t {_sanitize(wire)} = "
-                f"({self._emit(expr)}) & {_mask_literal(width)};"
-            )
-        lines.append("    uint32_t viol = 0u;")
-        for bit, assertion in enumerate(self.netlist.assertions):
-            lines.append(f"    /* property: {assertion.name} */")
-            lines.append(
-                f"    if (({self._emit(assertion.expr)}) == 0ULL) viol |= 1u << {bit};"
-            )
-        lines.append("    uint32_t cv = 0u;")
-        for bit, constraint in enumerate(self.netlist.constraints):
-            lines.append(
-                f"    if (({self._emit(constraint)}) == 0ULL) cv |= 1u << {bit};"
-            )
-        for index, name in enumerate(self.register_order):
-            width = self.netlist.registers[name]
-            expr = self.system.next[name]
-            lines.append(
-                f"    const uint64_t next_{_sanitize(name)} = "
-                f"({self._emit(expr)}) & {_mask_literal(width)};"
-            )
-        for index, name in enumerate(self.register_order):
-            lines.append(f"    s[{index}] = next_{_sanitize(name)};")
-        lines.append("    if (cviol) *cviol = cv;")
-        lines.append("    return viol;")
-        lines.append("}")
-        lines.append("")
-        return "\n".join(lines)
-
-    def _kernel_replay(self) -> str:
-        lines = [
-            f"long long {self.module_name}_kreplay(uint64_t *s, const uint64_t *inputs,",
-            "                                      long long ncycles, int stop_on_violation,",
-            "                                      uint64_t *trace) {",
-            "    long long first = -1;",
-            "    int alive = 1;",
-            "    for (long long c = 0; c < ncycles; ++c) {",
-            "        uint64_t *row = trace ? trace + c * (N_REGS + 2) : 0;",
-            "        if (row) {",
-            "            for (int r = 0; r < N_REGS; ++r) row[r] = s[r];",
-            "        }",
-            "        uint32_t cv = 0u;",
-            f"        uint32_t v = {self.module_name}_kstep(s, inputs + c * N_INPUTS, &cv);",
-            "        if (cv) alive = 0;",
-            "        if (row) {",
-            "            row[N_REGS] = (uint64_t)v;",
-            "            row[N_REGS + 1] = (uint64_t)cv;",
-            "        }",
-            "        if (first < 0 && alive && v) {",
-            "            first = c;",
-            "            if (stop_on_violation) return first;",
-            "        }",
-            "    }",
-            "    return first;",
-            "}",
-            "",
-        ]
-        return "\n".join(lines)
-
-    # kernel locals carry reg_/in_ prefixes instead of struct member paths
-    def _operand(self, name: str, width: int) -> str:
-        if name in self.netlist.registers:
-            return f"reg_{_sanitize(name)}"
-        if name in self.netlist.inputs:
-            return f"in_{_sanitize(name)}"
-        return _sanitize(name)
-
-
-def generate_kernel_c(system: TransitionSystem, name: Optional[str] = None) -> str:
-    """Convenience wrapper: generate the flat-ABI step kernel for a system."""
-    return KernelCodeGenerator(system, name=name).generate_kernel()

@@ -1,4 +1,4 @@
-"""Executable software-netlist model.
+"""Software-netlist structure.
 
 The software-netlist is the program view of the circuit: a state structure
 (one field per register, nested following the module hierarchy), an input
@@ -6,32 +6,19 @@ structure, and a *step function* that computes the combinational signals and
 updates every register exactly once — one call per clock cycle, as described
 in Section III.A of the paper.
 
-The Python model here has the same structure as the generated C program (the
-two are produced from the same transition system) and is what the
-software-level verification engines and the equivalence cross-checks execute.
+:class:`SoftwareNetlist` holds that structure once for both programs built
+from it: the ANSI-C output (:mod:`repro.v2c.codegen`) and the bit-parallel
+Python step function of :mod:`repro.netlist.bitsim`.  Its scalar semantics
+is the reference simulator, :mod:`repro.netlist.simulate`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
-from repro.exprs import Expr, collect_vars, evaluate
-from repro.exprs.nodes import to_unsigned
+from repro.exprs import Expr, evaluate
 from repro.netlist import TransitionSystem
-
-
-class SoftwareNetlistError(Exception):
-    """Raised for malformed software netlists or bad step inputs."""
-
-
-@dataclass
-class AssignmentStep:
-    """One straight-line assignment of the step function."""
-
-    target: str
-    expr: Expr
-    kind: str  # 'wire' | 'register'
 
 
 @dataclass
@@ -43,13 +30,12 @@ class AssertionPoint:
 
 
 class SoftwareNetlist:
-    """Straight-line program equivalent of a transition system.
+    """Straight-line program structure of a transition system.
 
-    The constructor performs the dependency analysis between combinational
-    definitions so that the wire assignments are emitted in topological order
-    (the "intra-modular and inter-modular dependency analysis" of the paper);
-    register updates are emitted last and read only pre-update values, which
-    reproduces the non-blocking assignment semantics of the RTL.
+    Wire assignments follow the system's topological
+    :meth:`~repro.netlist.TransitionSystem.wire_order`; register updates
+    come last and read only pre-update values, which reproduces the
+    non-blocking assignment semantics of the RTL.
     """
 
     def __init__(self, system: TransitionSystem) -> None:
@@ -61,103 +47,11 @@ class SoftwareNetlist:
         self.initial_values: Dict[str, int] = {
             name: evaluate(expr, {}) for name, expr in system.init.items()
         }
-        self.wire_order: List[str] = self._order_wires(system.wires)
-        self.assignments: List[AssignmentStep] = self._build_assignments()
+        self.wire_order: List[str] = system.wire_order()
         self.assertions: List[AssertionPoint] = [
             AssertionPoint(prop.name, prop.expr) for prop in system.properties
         ]
         self.constraints: List[Expr] = list(system.constraints)
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    def _order_wires(self, wires: Mapping[str, Expr]) -> List[str]:
-        """Topologically sort wire definitions by their wire-to-wire dependencies."""
-        dependencies: Dict[str, set] = {}
-        for name, expr in wires.items():
-            dependencies[name] = {
-                var.name for var in collect_vars(expr) if var.name in wires and var.name != name
-            }
-        ordered: List[str] = []
-        placed: set = set()
-        remaining = dict(dependencies)
-        while remaining:
-            ready = [name for name, deps in remaining.items() if deps <= placed]
-            if not ready:
-                raise SoftwareNetlistError(
-                    f"combinational cycle through wires: {sorted(remaining)}"
-                )
-            for name in sorted(ready):
-                ordered.append(name)
-                placed.add(name)
-                del remaining[name]
-        return ordered
-
-    def _build_assignments(self) -> List[AssignmentStep]:
-        steps: List[AssignmentStep] = []
-        for name in self.wire_order:
-            steps.append(AssignmentStep(name, self.system.wires[name], "wire"))
-        for name in self.registers:
-            steps.append(AssignmentStep(name, self.system.next[name], "register"))
-        return steps
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def initial_state(self) -> Dict[str, int]:
-        """Return the reset state of the program (one entry per register)."""
-        return dict(self.initial_values)
-
-    def step(
-        self, state: Mapping[str, int], inputs: Optional[Mapping[str, int]] = None
-    ) -> Tuple[Dict[str, int], Dict[str, int], List[str]]:
-        """Execute one call of the top-level step function.
-
-        Returns ``(next_state, combinational_values, violated_assertions)``.
-        The assertion check happens on the pre-update state together with the
-        cycle's inputs and combinational values, exactly like the ``assert``
-        statements placed before the register updates in the generated C.
-        """
-        inputs = inputs or {}
-        env: Dict[str, int] = {}
-        for name, width in self.registers.items():
-            if name not in state:
-                raise SoftwareNetlistError(f"missing register value {name!r}")
-            env[name] = to_unsigned(int(state[name]), width)
-        for name, width in self.inputs.items():
-            env[name] = to_unsigned(int(inputs.get(name, 0)), width)
-
-        next_state: Dict[str, int] = {}
-        for step_assignment in self.assignments:
-            value = evaluate(step_assignment.expr, env)
-            if step_assignment.kind == "wire":
-                env[step_assignment.target] = value
-            else:
-                next_state[step_assignment.target] = value
-
-        violated = [
-            assertion.name
-            for assertion in self.assertions
-            if evaluate(assertion.expr, env) == 0
-        ]
-        combinational = {name: env[name] for name in self.wire_order}
-        return next_state, combinational, violated
-
-    def run(
-        self,
-        input_sequence: Sequence[Mapping[str, int]],
-        stop_on_violation: bool = True,
-    ) -> Tuple[List[Dict[str, int]], Optional[str], Optional[int]]:
-        """Run from reset; returns (state trace, first violated assertion, cycle)."""
-        state = self.initial_state()
-        states = [dict(state)]
-        for cycle, inputs in enumerate(input_sequence):
-            state, _, violated = self.step(state, inputs)
-            states.append(dict(state))
-            if violated:
-                if stop_on_violation:
-                    return states, violated[0], cycle
-        return states, None, None
 
     # ------------------------------------------------------------------
     # structure queries used by the C code generator

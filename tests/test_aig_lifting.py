@@ -17,7 +17,8 @@ from repro.aig.bitblast import transition_system_from_aig
 from repro.aig.formats import read_aiger
 from repro.benchmarks import get_benchmark
 from repro.engines import Status, make_engine
-from repro.netlist.simulate import Simulator
+from repro.exprs import evaluate
+from repro.netlist.simulate import Simulator, first_violation
 
 
 def _lift_round_trip(system):
@@ -44,6 +45,10 @@ def _state_bits(system, state):
         for index in range(width):
             bits[f"{name}[{index}]"] = (state[name] >> index) & 1
     return bits
+
+
+def _property_values(system, env):
+    return {prop.name: evaluate(prop.expr, env) for prop in system.properties}
 
 
 @pytest.mark.parametrize("design", ["huffman_dec", "arbiter", "daio"])
@@ -73,12 +78,12 @@ def test_lifted_simulation_matches_word_level(design):
             name: rng.getrandbits(width) for name, width in system.inputs.items()
         }
         bit_inputs = _bit_inputs(system, word_inputs)
-        # same property verdicts in the current cycle...
-        assert word_sim.check_properties(word_inputs) == bit_sim.check_properties(
-            bit_inputs
-        ), f"property verdicts diverge at cycle {cycle}"
-        word_sim.step(word_inputs)
-        bit_sim.step(bit_inputs)
+        word_env = word_sim.step(word_inputs)
+        bit_env = bit_sim.step(bit_inputs)
+        # same property values in the current cycle...
+        assert _property_values(system, word_env) == _property_values(
+            lifted, bit_env
+        ), f"property values diverge at cycle {cycle}"
         # ... and the same next state, register bit by register bit
         assert bit_sim.state == _state_bits(system, word_sim.state), (
             f"state diverges at cycle {cycle + 1}"
@@ -94,6 +99,6 @@ def test_lifted_model_reproduces_bug_in_same_cycle():
     _, lifted = _lift_round_trip(system)
     witness = result.certificate
     bit_sequence = [_bit_inputs(system, step) for step in witness.input_sequence()]
-    trace = Simulator(lifted).run(bit_sequence, stop_on_violation=True)
-    assert trace.violated_property == result.property_name
-    assert len(trace) - 1 == benchmark.bug_cycle
+    verdict = first_violation(lifted, bit_sequence)
+    assert verdict.property_name == result.property_name
+    assert verdict.cycle == benchmark.bug_cycle

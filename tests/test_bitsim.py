@@ -15,7 +15,6 @@ import pytest
 from repro.aig import aig_from_transition_system
 from repro.benchmarks import benchmark_names, get_benchmark, load_system
 from repro.certs import validate_result
-from repro.certs.validate import CertificateValidator
 from repro.engines import Status, make_engine
 from repro.exprs import (
     bv_add,
@@ -53,7 +52,7 @@ from repro.netlist.bitsim import (
     pack_values,
     unpack_lane,
 )
-from repro.netlist.simulate import Simulator
+from repro.netlist.simulate import ReplayVerdict, Simulator, first_violation
 
 SUITE = benchmark_names()
 
@@ -189,6 +188,28 @@ def test_replay_broadcast_matches_scalar_trace():
         scalar.step(sequence[cycle])
 
 
+@pytest.mark.parametrize("design", SUITE)
+def test_packed_trace_matches_scalar_rule(design):
+    """Register trace and first constraint-alive violation agree per design."""
+    system = load_system(design)
+    rng = random.Random(13)
+    sequence = [
+        {name: rng.getrandbits(width) for name, width in system.inputs.items()}
+        for _ in range(72)
+    ]
+    run = PackedSimulator(system, lanes=1).replay(sequence)
+    scalar = Simulator(system)
+    for cycle in range(run.cycles):
+        assert run.lane_state(cycle, 0) == scalar.state, f"{design} cycle {cycle}"
+        scalar.step(sequence[cycle])
+    hit = run.violation
+    verdict = first_violation(system, sequence)
+    assert ((hit.cycle, hit.property_name) if hit else (None, None)) == (
+        verdict.cycle,
+        verdict.property_name,
+    )
+
+
 def test_replay_many_keeps_lanes_independent():
     system = load_system("huffman_dec")
     rng = random.Random(11)
@@ -207,9 +228,21 @@ def test_replay_many_keeps_lanes_independent():
             scalar.step(sequence[cycle])
 
 
+def _packed_lane_verdict(run, lane, property_names):
+    """The packed ``alive`` rule read off one lane, as a scalar verdict."""
+    for cycle in range(run.cycles):
+        if not (run.alive[cycle] >> lane) & 1:
+            return ReplayVerdict(constraint_failed_at=cycle)
+        for name in property_names:
+            if (run.violated_lanes(name, cycle) >> lane) & 1:
+                return ReplayVerdict(cycle, name)
+    return ReplayVerdict()
+
+
 def test_constraints_kill_lanes_for_violation_reporting():
     """fifo has environment constraints: a lane that breaks them cannot
-    report violations from that cycle on (SAT frame semantics)."""
+    report violations from that cycle on (SAT frame semantics), and the
+    scalar rule :func:`first_violation` agrees with every lane's mask."""
     system = load_system("fifo")
     assert system.constraints, "fifo is the suite's constrained design"
     simulator = PackedSimulator(system)
@@ -220,6 +253,9 @@ def test_constraints_kill_lanes_for_violation_reporting():
         assert later & ~earlier == 0
     # with random inputs some lane violates a constraint eventually
     assert run.alive[-1] != mask
+    for lane in range(simulator.lanes):
+        expected = _packed_lane_verdict(run, lane, simulator.property_names)
+        assert first_violation(system, run.lane_inputs(lane)) == expected, lane
 
 
 def test_wide_lane_counts_work():
@@ -271,9 +307,8 @@ def test_rsim_finds_and_certifies_suite_bugs(design):
     assert result.status == Status.UNSAFE
     assert result.detail["scalar_confirmed"] is True
     assert result.counterexample.length - 1 == benchmark.bug_cycle
-    for backend in ("scalar", "packed"):
-        validation = validate_result(system, result, replay_backend=backend)
-        assert validation.ok, (backend, validation.reason)
+    validation = validate_result(system, result)
+    assert validation.ok, validation.reason
 
 
 @pytest.mark.parametrize("design", ["buffalloc", "fifo"])
@@ -288,30 +323,6 @@ def test_rsim_cannot_prove():
 
     capabilities = get_registration("rsim").capabilities
     assert capabilities.can_refute and not capabilities.can_prove
-
-
-# ---------------------------------------------------------------------------
-# the validator's pluggable replay backend (--fast-replay)
-# ---------------------------------------------------------------------------
-
-
-def test_validator_packed_backend_adds_crosscheck_obligation():
-    system = load_system("daio")
-    result = make_engine("bmc", system, max_bound=70).verify(timeout=90)
-    assert result.status == Status.UNSAFE
-    packed = validate_result(system, result, replay_backend="packed")
-    assert packed.ok
-    outcomes = {o.name: o.outcome for o in packed.obligations}
-    assert outcomes["replay-crosscheck"] == "holds"
-    assert outcomes["violation-reached"] == "holds"
-    scalar = validate_result(system, result, replay_backend="scalar")
-    assert scalar.ok
-    assert "replay-crosscheck" not in {o.name for o in scalar.obligations}
-
-
-def test_validator_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="replay backend"):
-        CertificateValidator(load_system("daio"), replay_backend="warp")
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +356,9 @@ def test_aig_and_netlist_simulators_agree(design):
     bad_values = aig.simulate(aig_sequence)
     scalar = Simulator(system)
     for cycle, inputs in enumerate(word_sequence):
-        env = scalar._environment(inputs)
+        env = scalar.step(inputs)
         for prop in system.properties:
             violated = evaluate(prop.expr, env) == 0
             assert bad_values[cycle][prop.name] == violated, (
                 f"{design}:{prop.name} diverges at cycle {cycle}"
             )
-        scalar.step(inputs)
