@@ -318,7 +318,8 @@ class AbstractInterpretationEngine(Engine):
 
     name = "abstract-interpretation"
     capabilities = EngineCapabilities(
-        can_prove=True, can_refute=False, representations=("word",), cost="cheap"
+        can_prove=True, can_refute=False, representations=("word",),
+        cost="cheap", sat_free=True,
     )
 
     def __init__(

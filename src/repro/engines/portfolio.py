@@ -41,7 +41,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engines.registry import list_engines, make_engine
+from repro.engines.registry import get_registration, list_engines, make_engine
 from repro.engines.result import Budget, Counterexample, Status, VerificationResult
 from repro.engines.supervision import (
     CRASHED,
@@ -189,10 +189,18 @@ def warm_task_templates(
 
 @dataclass(frozen=True)
 class PortfolioConfig:
-    """One engine configuration raced by the portfolio."""
+    """One engine configuration raced by the portfolio.
+
+    ``depth_cap`` makes the configuration a *shallow* attempt: its depth
+    options (see :func:`bound_options`) are capped at that many frames,
+    whatever the shared bound says, and its label carries the cap
+    (``kiki[word]@8``), so a shallow attempt and a full run of the same
+    engine stay distinguishable within one ladder.
+    """
 
     engine: str
     options: Tuple[Tuple[str, object], ...] = ()
+    depth_cap: Optional[int] = None
 
     @staticmethod
     def of(engine: str, **options) -> "PortfolioConfig":
@@ -200,12 +208,16 @@ class PortfolioConfig:
 
     @property
     def options_dict(self) -> Dict[str, object]:
-        return dict(self.options)
+        options = dict(self.options)
+        if self.depth_cap is not None:
+            options.update(bound_options(self.depth_cap))
+        return options
 
     @property
     def label(self) -> str:
         representation = self.options_dict.get("representation", "word")
-        return f"{self.engine}[{representation}]"
+        label = f"{self.engine}[{representation}]"
+        return label if self.depth_cap is None else f"{label}@{self.depth_cap}"
 
 
 def bound_options(bound: int) -> Dict[str, object]:
@@ -260,9 +272,13 @@ class LadderRung:
     whatever remains of the overall budget — the usual choice for the final
     rung).  :func:`run_ladder` runs the rungs in order and escalates only
     when a rung ends without a definitive answer; within a rung the
-    configurations run one at a time in-process, or race on the supervised
-    pool where the first definitive answer cancels the rest.  The
-    all-at-once portfolio is a single rung with no budget.
+    configurations run one at a time in-process, in ``configs`` order, or
+    race on the supervised pool (launched in that order when the pool has
+    fewer slots than configurations) where the first definitive answer
+    cancels the rest.  The default ladder's cheap rung relies on that order
+    to put SAT-free probes and a depth-capped prover ahead of BMC (see
+    :func:`default_budget_ladder`).  The all-at-once portfolio is a single
+    rung with no budget.
     """
 
     configs: Tuple[PortfolioConfig, ...]
@@ -280,6 +296,14 @@ DEFAULT_RUNG_FRACTIONS = {"cheap": 0.10, "medium": 0.30}
 
 #: floor (seconds) under which a rung budget is not worth a process launch
 MIN_RUNG_BUDGET = 0.5
+
+#: depth cap of the shallow prover in the cheap rung (clipped to the ladder's
+#: bound): kIkI at k <= 8 proves every property that is k-inductive at that
+#: depth, and its base case refutes every bug within 8 cycles
+SHALLOW_K = 8
+
+#: the engine the cheap rung runs depth-capped as its shallow prover
+SHALLOW_PROVER = "kiki"
 
 
 def learn_priors(paths: Optional[Sequence[str]] = None) -> Dict[str, Dict[str, float]]:
@@ -374,12 +398,27 @@ def default_budget_ladder(
     """Build the default budget ladder from the engines' declared cost tiers.
 
     Ladder-flagged engines are grouped by
-    :attr:`repro.engines.base.EngineCapabilities.cost` — cheap refuters
-    (BMC, abstract interpretation) first at a small slice of the budget,
-    the k-induction-family provers next, the fixpoint provers last with
-    everything that remains.  ``priors`` (see :func:`learn_priors`) order
-    the configurations within each rung by historical score; empty tiers
-    are skipped.
+    :attr:`repro.engines.base.EngineCapabilities.cost` into rungs: the
+    cheap rung first at a small slice of the budget, the
+    k-induction-family provers next, the fixpoint provers last with
+    everything that remains.  Empty tiers are skipped.
+
+    The cheap rung is a fixed sequence of four launch classes, so a unit
+    pays for BMC to the bound cap only when nothing cheaper decides it:
+
+    1. SAT-free provers (:attr:`EngineCapabilities.sat_free` engines that
+       can prove: interval abstract interpretation), milliseconds each;
+    2. the shallow prover, :data:`SHALLOW_PROVER` capped at
+       :data:`SHALLOW_K` frames (clipped to ``bound``): it proves every
+       property that is k-inductive at that depth, and its base case
+       refutes every bug within that many cycles;
+    3. SAT-free refuters (random simulation), for deeper bugs — after the
+       shallow prover, so safe units never pay for simulation;
+    4. the deep refuter, BMC to the bound cap, for bugs nothing above
+       found.
+
+    ``priors`` (see :func:`learn_priors`) order the configurations by
+    historical score *within* a class, never across classes.
     """
     from repro.engines.base import EngineCapabilities
 
@@ -387,21 +426,39 @@ def default_budget_ladder(
         tier: [] for tier in EngineCapabilities.COST_TIERS
     }
     order: Dict[str, int] = {}
+
+    def add(tier: str, config: PortfolioConfig) -> None:
+        tiers[tier].append(config)
+        order[config.label] = len(order)
+
+    shallow_k = SHALLOW_K if bound is None else min(SHALLOW_K, bound)
     for representation in representations:
         for registration in list_engines(ladder_only=True):
-            if representation not in registration.capabilities.representations:
+            capabilities = registration.capabilities
+            if representation not in capabilities.representations:
                 continue
             options: Dict[str, object] = {"representation": representation}
+            if registration.name == SHALLOW_PROVER:
+                add("cheap", PortfolioConfig(
+                    registration.name,
+                    (("representation", representation),),
+                    depth_cap=shallow_k,
+                ))
             if bound is not None:
                 options.update(bound_options(bound))
-            config = PortfolioConfig.of(registration.name, **options)
-            tiers[registration.capabilities.cost].append(config)
-            order[config.label] = len(order)
+            add(capabilities.cost, PortfolioConfig.of(registration.name, **options))
 
-    def sort_key(config: PortfolioConfig) -> Tuple[float, int]:
+    def sort_key(config: PortfolioConfig) -> Tuple[int, float, int]:
+        capabilities = get_registration(config.engine).capabilities
+        if config.depth_cap is not None:
+            launch_class = 1
+        elif capabilities.sat_free:
+            launch_class = 0 if capabilities.can_prove else 2
+        else:
+            launch_class = 3
         prior = (priors or {}).get(config.engine)
         score = prior["score"] if prior else float("inf")
-        return (score, order[config.label])
+        return (launch_class, score, order[config.label])
 
     populated = [
         (tier, configs) for tier, configs in tiers.items() if configs

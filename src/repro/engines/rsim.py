@@ -51,7 +51,8 @@ class RandomSimulationEngine(Engine):
 
     name = "rsim"
     capabilities = EngineCapabilities(
-        can_prove=False, can_refute=True, representations=("word",), cost="cheap"
+        can_prove=False, can_refute=True, representations=("word",),
+        cost="cheap", sat_free=True,
     )
 
     def __init__(

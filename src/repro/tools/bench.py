@@ -873,9 +873,9 @@ def judge_incremental(config: Dict, rows: List[Dict]) -> Tuple[Dict, Dict]:
 # serve mode (--serve): cache sweeps, ladder vs fan-out, minimization
 # ---------------------------------------------------------------------------
 
-#: designs raced ladder-vs-fanout (a mix where different rungs decide:
-#: BMC refutes daio/tlc in the cheap rung, absint proves huffman_dec there,
-#: buffalloc needs the k-induction-family rung)
+#: designs raced ladder-vs-fanout (a mix where different engines of the
+#: cheap rung decide: random simulation or BMC refutes daio/tlc, absint
+#: proves huffman_dec, the shallow kIkI proves buffalloc)
 DEFAULT_LADDER_BENCHMARKS = ["daio", "tlc", "huffman_dec", "buffalloc"]
 
 #: (design, engine) pairs whose SAFE certificates carry droppable conjuncts
@@ -1094,6 +1094,7 @@ def judge_serve(config: Dict, rows: List[Dict]) -> Tuple[Dict, Dict]:
     speedup = round(
         passes["cold"]["wall_s"] / max(1e-9, passes["warm"]["wall_s"]), 2
     )
+    cold_cheap = sum(1 for row in cold if row["rung"] == 0)
     ladder = section(rows, "ladder_vs_fanout")
     cheap = [row for row in ladder if row["cheap_rung_decided"]]
     minimized = [
@@ -1116,6 +1117,11 @@ def judge_serve(config: Dict, rows: List[Dict]) -> Tuple[Dict, Dict]:
         "warm_all_hits": gate(all(row["source"] == "cache" for row in warm)),
         "warm_hits_revalidated": gate(all(row["validated"] for row in warm)),
         "warm_speedup": gate(speedup >= 3.0, observed=speedup, min=3.0),
+        # the cheap rung (probes, shallow kIkI, then BMC) decides every cold
+        # unit: no suite unit may need the provers of the later rungs
+        "cold_sweep_decided_in_cheap_rung": gate(
+            cold_cheap == len(cold), observed=cold_cheap, min=len(cold)
+        ),
         "ladder_verdicts_match": _verdicts_match_gate(ladder),
         # the CPU gate only applies where the *cheap* tier decided: a design
         # escalated to the provers pays the cheap rung's probe as overhead
@@ -1137,6 +1143,7 @@ def judge_serve(config: Dict, rows: List[Dict]) -> Tuple[Dict, Dict]:
         "cold_wall_s": passes["cold"]["wall_s"],
         "warm_wall_s": passes["warm"]["wall_s"],
         "warm_speedup": speedup,
+        "cold_decided_in_cheap_rung": cold_cheap,
         "ladder_designs": len(ladder),
         "cheap_rung_decided": len(cheap),
         "certificates_minimized": len(minimized),

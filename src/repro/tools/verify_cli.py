@@ -298,9 +298,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--ladder", action="store_true",
-        help="budget-ladder scheduling: cheap refuters first at a small "
-             "budget, escalating to provers rung by rung (instead of the "
-             "all-at-once fan-out)",
+        help="budget-ladder scheduling: cheap probes, a shallow kIkI and "
+             "BMC first at a small budget, escalating to provers rung by "
+             "rung (instead of the all-at-once fan-out)",
     )
     parser.add_argument(
         "--batch", action="store_true",

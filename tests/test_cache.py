@@ -19,6 +19,8 @@ from repro.certs import validate_certificate
 from repro.engines import (
     BatchItem,
     BatchRunner,
+    LadderRung,
+    PortfolioConfig,
     PortfolioRunner,
     Status,
     VerificationTask,
@@ -28,6 +30,7 @@ from repro.engines import (
     make_engine,
 )
 from repro.engines.batch import run_sequential_ladder
+from repro.engines.portfolio import SHALLOW_K
 from repro.exprs import TRUE, bv_const
 
 
@@ -302,11 +305,120 @@ def test_batch_without_cache_still_sweeps():
 def test_default_ladder_orders_cost_tiers():
     ladder = default_budget_ladder(bound=40, timeout=60)
     assert [rung.tier for rung in ladder] == ["cheap", "medium", "heavy"]
-    cheap = {config.engine for config in ladder[0].configs}
-    assert cheap == {"rsim", "bmc", "absint"}
+    # the cheap rung: SAT-free prover, shallow kIkI, random simulation, and
+    # only then BMC to the bound cap
+    assert ladder[0].labels == (
+        "absint[word]", "kiki[word]@8", "rsim[word]", "bmc[word]",
+    )
+    shallow = ladder[0].configs[1]
+    assert shallow.depth_cap == SHALLOW_K
+    assert shallow.options_dict["max_k"] == SHALLOW_K
+    assert ladder[0].configs[-1].options_dict["max_bound"] == 40
+    # the later rungs are unchanged, the full-depth kIkI among them
+    assert set(ladder[1].labels) == {"k-induction[word]", "kiki[word]"}
+    assert all(
+        config.options_dict["max_k"] == 40
+        for config in ladder[1].configs
+    )
+    assert set(ladder[2].labels) == {"interpolation[word]", "pdr[word]"}
     # non-final rungs are budgeted, the last rung takes what remains
     assert all(rung.budget is not None for rung in ladder[:-1])
     assert ladder[-1].budget is None
+    # the shallow cap is clipped to a smaller bound
+    clipped = default_budget_ladder(bound=5, timeout=60)[0].configs[1]
+    assert clipped.label == "kiki[word]@5"
+    assert clipped.options_dict["max_k"] == 5
+
+
+def test_priors_cannot_move_bmc_ahead_of_the_shallow_prover(tmp_path):
+    report = {
+        "rows": [
+            {"engine": "bmc", "runtime_s": 0.001, "status": "unsafe"},
+            {"engine": "kiki", "runtime_s": 9.0, "status": "unknown"},
+            {"engine": "rsim", "runtime_s": 9.0, "status": "unknown"},
+            {"engine": "absint", "runtime_s": 9.0, "status": "unknown"},
+        ]
+    }
+    path = tmp_path / "BENCH_fake.json"
+    path.write_text(json.dumps(report))
+    priors = learn_priors([str(path)])
+    assert priors["bmc"]["score"] < priors["kiki"]["score"]
+    for representations in (("word",), ("word", "bit")):
+        ladder = default_budget_ladder(
+            representations, bound=40, timeout=60, priors=priors
+        )
+        labels = ladder[0].labels
+        first_bmc = min(
+            index for index, label in enumerate(labels) if label.startswith("bmc")
+        )
+        assert all(label.startswith("bmc") for label in labels[first_bmc:])
+        assert labels.index("kiki[word]@8") < first_bmc
+        assert labels.index("rsim[word]") < first_bmc
+        assert labels.index("absint[word]") < first_bmc
+
+
+def test_sequential_ladder_decides_every_suite_unit_in_the_cheap_rung():
+    ladder = default_budget_ladder(timeout=60)
+    for name in BENCHMARKS:
+        system = load_system(name)
+        for prop in system.properties:
+            result = run_sequential_ladder(system, prop.name, ladder, timeout=60)
+            assert result.status == get_benchmark(name).expected, (name, prop.name)
+            assert result.detail["ladder_rung"] == 0, (name, prop.name)
+            configs = [a["config"] for a in result.detail["ladder_attempts"]]
+            assert not any(c.startswith("bmc") for c in configs), (name, configs)
+
+
+@pytest.mark.parametrize("design,cycle", [("daio", 64), ("tlc", 65)])
+def test_deep_bugs_reach_rung0_bmc_without_random_simulation(design, cycle):
+    ladder = default_budget_ladder(bound=80, timeout=120)
+    no_rsim = [
+        LadderRung(
+            tuple(c for c in rung.configs if c.engine != "rsim"),
+            rung.budget,
+            rung.tier,
+        )
+        for rung in ladder
+    ]
+    result = run_sequential_ladder(load_system(design), None, no_rsim, timeout=120)
+    assert result.status == Status.UNSAFE
+    assert result.engine == "bmc"
+    assert result.detail["ladder_rung"] == 0
+    assert result.detail["bound"] == cycle
+    attempts = {a["config"]: a["status"] for a in result.detail["ladder_attempts"]}
+    assert attempts == {
+        "absint[word]": Status.UNKNOWN,
+        "kiki[word]@8": Status.UNKNOWN,
+        "bmc[word]": Status.UNSAFE,
+    }
+
+
+def test_shallow_and_full_kiki_are_distinguishable():
+    """A depth-capped attempt and a full run of one engine keep two labels."""
+    shallow = PortfolioConfig("kiki", (("representation", "word"),), depth_cap=8)
+    full = PortfolioConfig.of("kiki", representation="word", max_k=80)
+    assert (shallow.label, full.label) == ("kiki[word]@8", "kiki[word]")
+    ladder = [
+        LadderRung((shallow,), None, "cheap"),
+        LadderRung((full,), None, "medium"),
+    ]
+    result = run_sequential_ladder(load_system("daio"), None, ladder, timeout=120)
+    assert result.status == Status.UNSAFE
+    assert [
+        (a["config"], a["rung"], a["status"])
+        for a in result.detail["ladder_attempts"]
+    ] == [
+        ("kiki[word]@8", 0, Status.UNKNOWN),
+        ("kiki[word]", 1, Status.UNSAFE),
+    ]
+    raced = PortfolioRunner(ladder=ladder, timeout=120).run(
+        VerificationTask.benchmark("daio")
+    )
+    assert raced.status == Status.UNSAFE
+    assert raced.winner == "kiki[word]"
+    assert raced.worker("kiki[word]@8").status == Status.UNKNOWN
+    assert raced.worker("kiki[word]").status == Status.UNSAFE
+    assert raced.worker("kiki[word]@8").rung == 0
 
 
 def test_priors_reorder_a_rung(tmp_path):
@@ -412,8 +524,8 @@ def test_verify_cli_batch_time_column_is_the_unit_wall_time(capsys):
     """The table's time is the unit's wall time; the engine's is in the note."""
     from repro.tools.verify_cli import main
 
-    # the cheap rung probes buffalloc to its bound before a prover decides,
-    # so the unit's wall time far exceeds the deciding engine's own time
+    # the unit's wall time also covers the interval probe that precedes the
+    # deciding shallow kIkI, so it exceeds the deciding engine's own time
     assert main(["buffalloc", "--batch", "--quiet", "--timeout", "90", "--bound", "40"]) == 0
     row = next(
         line for line in capsys.readouterr().out.splitlines()
@@ -461,19 +573,27 @@ def test_file_task_memo_invalidates_on_edit(tmp_path):
 
 
 def test_sequential_ladder_attributes_runtime_to_deciding_engine():
-    """Escalation probes must not inflate the deciding engine's runtime."""
-    system = load_system("buffalloc")  # cheap rung cannot decide this one
-    result = run_sequential_ladder(
-        system, None, default_budget_ladder(bound=40, timeout=60), timeout=60
-    )
-    assert result.status == Status.SAFE
-    assert result.detail["ladder_rung"] >= 1
-    probes = sum(
-        attempt["runtime_s"]
-        for attempt in result.detail["ladder_attempts"][:-1]
-    )
-    assert result.detail["ladder_wall_s"] >= result.runtime + probes * 0.5
-    assert result.runtime < result.detail["ladder_wall_s"]
+    """Probe attempts before the decider must not inflate its runtime."""
+    cases = [
+        # buffalloc: the interval probe fails, the shallow kIkI proves it
+        ("buffalloc", Status.SAFE, ["absint[word]"], "kiki[word]@8"),
+        # daio: the probe and the shallow kIkI fail, random simulation refutes
+        ("daio", Status.UNSAFE, ["absint[word]", "kiki[word]@8"], "rsim[word]"),
+    ]
+    for design, status, probes, decider in cases:
+        result = run_sequential_ladder(
+            load_system(design), None, default_budget_ladder(bound=40, timeout=60),
+            timeout=60,
+        )
+        assert result.status == status
+        assert result.detail["ladder_rung"] == 0
+        attempts = result.detail["ladder_attempts"]
+        assert [a["config"] for a in attempts] == probes + [decider]
+        assert all(a["status"] == Status.UNKNOWN for a in attempts[:-1])
+        probe_s = sum(attempt["runtime_s"] for attempt in attempts[:-1])
+        assert result.runtime <= attempts[-1]["runtime_s"]
+        assert result.detail["ladder_wall_s"] >= result.runtime + probe_s * 0.5
+        assert result.runtime < result.detail["ladder_wall_s"]
 
 
 def test_batch_survives_unloadable_target(tmp_path):
