@@ -18,16 +18,23 @@ validated certificates.  The contract:
 
 Re-validating is much cheaper than re-verifying: the engine searched for the
 invariant or trace, the validator only checks it (a handful of SAT queries
-respectively one concrete replay).
+respectively one concrete replay).  Within one process it is done once per
+*content*: the validator is deterministic over (design, entry bytes), so a
+passed validation is memoized under ``(cache key, SHA-256 of the entry
+bytes)`` — the key hashes the design, the digest the certificate.  Any
+change to the stored bytes (tampering, a forged entry, a re-store) changes
+the digest and forces a fresh validation.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.cache.key import cache_key
 from repro.cache.minimize import MinimizationResult, minimize_certificate
@@ -37,6 +44,8 @@ from repro.certs import (
     K_INDUCTIVE,
     WITNESS,
     ValidationResult,
+    certificate_from_json,
+    certificate_to_json,
     validate_certificate,
 )
 from repro.engines.result import Status, VerificationResult
@@ -50,6 +59,45 @@ _KINDS_FOR_STATUS = {
     Status.UNSAFE: (WITNESS,),
     Status.SAFE: (INDUCTIVE, K_INDUCTIVE),
 }
+
+
+class ValidationMemo:
+    """Passed validations of stored entries, keyed ``(cache key, digest)``.
+
+    Bounded LRU, shared by every :class:`ResultCache` of the process, so a
+    cache opened afresh on the same root (``repro-bench --serve`` opens one
+    per sweep) still finds the validations of an earlier one.  Only passed
+    validations are remembered: a failed or undecided one is always re-run.
+    """
+
+    def __init__(self, capacity: int = 4096) -> None:
+        self.capacity = capacity
+        self._entries: "OrderedDict[Tuple[str, str], ValidationResult]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: str, digest: str) -> Optional[ValidationResult]:
+        with self._lock:
+            validation = self._entries.get((key, digest))
+            if validation is not None:
+                self._entries.move_to_end((key, digest))
+            return validation
+
+    def put(self, key: str, digest: str, validation: ValidationResult) -> None:
+        if not (validation.ok and digest):
+            return
+        with self._lock:
+            self._entries[(key, digest)] = validation
+            self._entries.move_to_end((key, digest))
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+#: the process-wide memo of :meth:`ResultCache.lookup` and ``store``
+VALIDATION_MEMO = ValidationMemo()
 
 
 @dataclass
@@ -149,6 +197,8 @@ class ResultCache:
         self.misses = 0
         self.demotions = 0
         self.stores = 0
+        #: hits whose validation came from :data:`VALIDATION_MEMO`
+        self.memo_hits = 0
         # lifetime counters shared by every process using this cache root
         self.persistent = PersistentCounters(self.store_backend.root)
 
@@ -222,9 +272,16 @@ class ResultCache:
                     "entry cannot justify its verdict", demoted=True, entry=entry
                 )
 
-            validation = validate_certificate(
-                system, entry.certificate, timeout=self.validation_timeout
-            )
+            validation = VALIDATION_MEMO.get(key, entry.digest)
+            memoized = validation is not None
+            if validation is None:
+                validation = validate_certificate(
+                    system, entry.certificate, timeout=self.validation_timeout
+                )
+                VALIDATION_MEMO.put(key, entry.digest, validation)
+            else:
+                self.memo_hits += 1
+                _telemetry.counter("cache.validation_memo_hit")
             if not validation.ok:
                 self.store_backend.delete(key)
                 return miss(
@@ -253,6 +310,7 @@ class ResultCache:
                         "representation": entry.representation,
                         "minimized": entry.minimized,
                         "invariant_size": entry.size,
+                        "validation_memoized": memoized,
                     },
                     "validation": validation.to_json(),
                 },
@@ -320,6 +378,7 @@ class ResultCache:
 
             minimization: Optional[MinimizationResult] = None
             validate_minimized_s = validate_original_s
+            stored_validation = validation
             if self.minimize and result.status == Status.SAFE:
                 with _telemetry.span("cache.minimize", key=key) as minimize_span:
                     minimization = minimize_certificate(
@@ -336,7 +395,9 @@ class ResultCache:
                         system, certificate, timeout=self.validation_timeout
                     )
                     validate_minimized_s = time.monotonic() - t1
-                    if not final.ok:  # pragma: no cover - minimizer re-checks drops
+                    if final.ok:
+                        stored_validation = final
+                    else:  # pragma: no cover - minimizer re-checks drops
                         certificate = getattr(result, "certificate")
                         minimization = None
                         validate_minimized_s = validate_original_s
@@ -365,6 +426,10 @@ class ResultCache:
                 },
             )
             path = self.store_backend.save(entry)
+            # the bytes just written decode to the certificate just validated,
+            # so hits on them need not validate it again in this process
+            if _round_trips(certificate):
+                VALIDATION_MEMO.put(key, entry.digest, stored_validation)
             self.stores += 1
             self.persistent.bump(stores=1)
             _telemetry.counter("cache.store")
@@ -433,9 +498,16 @@ class ResultCache:
                 report["unresolved"].append(key)
                 report["ok"] += 1  # structurally sound; design not at hand
                 continue
-            validation = validate_certificate(
-                system, entry.certificate, timeout=self.validation_timeout
-            )
+            validation = VALIDATION_MEMO.get(key, entry.digest)
+            memoized = validation is not None
+            if validation is None:
+                validation = validate_certificate(
+                    system, entry.certificate, timeout=self.validation_timeout
+                )
+                VALIDATION_MEMO.put(key, entry.digest, validation)
+            else:
+                self.memo_hits += 1
+                _telemetry.counter("cache.validation_memo_hit")
             if not validation.ok:
                 fail(f"re-validation failed: {validation.reason}")
                 continue
@@ -454,11 +526,21 @@ class ResultCache:
             "misses": self.misses,
             "demotions": self.demotions,
             "stores": self.stores,
+            "memo_hits": self.memo_hits,
             "entries": len(self.store_backend),
             "evictions": self.store_backend.evictions,
             "quarantined": self.store_backend.quarantined,
             "lifetime": self.persistent.as_dict(),
         }
+
+
+def _round_trips(certificate) -> bool:
+    """Whether the stored document decodes back to the same document."""
+    document = certificate_to_json(certificate)
+    try:
+        return certificate_to_json(certificate_from_json(document)) == document
+    except Exception:  # noqa: BLE001 - an undecodable document never round-trips
+        return False
 
 
 def _resolve_benchmark_design(entry: CacheEntry) -> Optional[TransitionSystem]:

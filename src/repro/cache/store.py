@@ -26,6 +26,7 @@ lock-free, so a hot lookup path never serializes on a writer.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -117,6 +118,10 @@ class CacheEntry:
     original_size: Optional[int] = None
     size: Optional[int] = None
     extra: Dict[str, object] = field(default_factory=dict)
+    #: SHA-256 of the entry document's bytes as last read from or written to
+    #: the store (set by :meth:`CertificateStore.load` and ``save``; never
+    #: serialized)
+    digest: str = field(default="", compare=False)
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -205,18 +210,17 @@ class CertificateStore:
         another query).  Never raises on store garbage.
         """
         try:
-            with open(self.path_for(key), "r", encoding="utf-8") as handle:
-                document = json.load(handle)
+            with open(self.path_for(key), "rb") as handle:
+                raw = handle.read()
         except OSError:
             return None, "absent"
-        except ValueError:
-            return None, "undecodable"
         try:
-            entry = CacheEntry.from_json(document)
+            entry = CacheEntry.from_json(json.loads(raw))
         except (ValueError, TypeError, KeyError):
             return None, "undecodable"
         if entry.key != key:
             return None, "key-mismatch"
+        entry.digest = hashlib.sha256(raw).hexdigest()
         return entry, "ok"
 
     def load(self, key: str) -> Optional[CacheEntry]:
@@ -268,13 +272,15 @@ class CertificateStore:
         if not entry.created_s:
             entry.created_s = time.time()
         payload = json.dumps(entry.to_json(), indent=2) + "\n"
+        raw = payload.encode("utf-8")
+        entry.digest = hashlib.sha256(raw).hexdigest()
         with self.lock:
             fd, temp_path = tempfile.mkstemp(
                 dir=os.path.dirname(path), suffix=".tmp"
             )
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(raw)
                 os.replace(temp_path, path)
             except BaseException:
                 try:

@@ -318,8 +318,7 @@ class AbstractInterpretationEngine(Engine):
 
     name = "abstract-interpretation"
     capabilities = EngineCapabilities(
-        can_prove=True, can_refute=False, representations=("word",),
-        cost="cheap", sat_free=True,
+        can_prove=True, can_refute=False, representations=("word",), cost="cheap"
     )
 
     def __init__(

@@ -126,9 +126,6 @@ class EngineCapabilities:
     the full budget.  The budget-ladder scheduler of
     :mod:`repro.engines.portfolio` maps tiers onto rungs: cheap engines run
     first at a small budget and the ladder escalates tier by tier.
-    ``sat_free`` marks engines that never call a SAT solver (simulation,
-    interval analysis); the default ladder's cheap rung orders its launch
-    classes by it (see :func:`repro.engines.portfolio.default_budget_ladder`).
     """
 
     COST_TIERS = ("cheap", "medium", "heavy")
@@ -139,7 +136,6 @@ class EngineCapabilities:
     complete: bool = False
     #: scheduling tier used by the budget ladder ("cheap"/"medium"/"heavy")
     cost: str = "heavy"
-    sat_free: bool = False
 
     def describe(self) -> str:
         """Short human-readable capability tag, e.g. ``prove+refute [word,bit]``."""

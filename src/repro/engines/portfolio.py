@@ -41,7 +41,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engines.registry import get_registration, list_engines, make_engine
+from repro.engines.registry import list_engines, make_engine
 from repro.engines.result import Budget, Counterexample, Status, VerificationResult
 from repro.engines.supervision import (
     CRASHED,
@@ -305,6 +305,11 @@ SHALLOW_K = 8
 #: the engine the cheap rung runs depth-capped as its shallow prover
 SHALLOW_PROVER = "kiki"
 
+#: launch order of the cheap rung (see :func:`default_budget_ladder`):
+#: priors never move an engine across this order, so BMC to the bound cap
+#: always runs last
+CHEAP_ORDER = ("absint", SHALLOW_PROVER, "rsim", "bmc")
+
 
 def learn_priors(paths: Optional[Sequence[str]] = None) -> Dict[str, Dict[str, float]]:
     """Learn engine priors from past ``BENCH_*.json`` reports.
@@ -403,22 +408,26 @@ def default_budget_ladder(
     k-induction-family provers next, the fixpoint provers last with
     everything that remains.  Empty tiers are skipped.
 
-    The cheap rung is a fixed sequence of four launch classes, so a unit
-    pays for BMC to the bound cap only when nothing cheaper decides it:
+    The cheap rung runs its engines in the fixed order :data:`CHEAP_ORDER`,
+    so a unit pays for BMC to the bound cap only when nothing cheaper
+    decides it:
 
-    1. SAT-free provers (:attr:`EngineCapabilities.sat_free` engines that
-       can prove: interval abstract interpretation), milliseconds each;
+    1. interval abstract interpretation (``absint``), milliseconds;
     2. the shallow prover, :data:`SHALLOW_PROVER` capped at
-       :data:`SHALLOW_K` frames (clipped to ``bound``): it proves every
-       property that is k-inductive at that depth, and its base case
-       refutes every bug within that many cycles;
-    3. SAT-free refuters (random simulation), for deeper bugs — after the
-       shallow prover, so safe units never pay for simulation;
-    4. the deep refuter, BMC to the bound cap, for bugs nothing above
-       found.
+       :data:`SHALLOW_K` frames: it proves every property that is
+       k-inductive at that depth, and its base case refutes every bug
+       within that many cycles.  When ``bound`` is at most
+       :data:`SHALLOW_K` the cap is the bound, and the capped run replaces
+       the prover's full run in its own tier;
+    3. random simulation (``rsim``) for deeper bugs; it runs after the
+       shallow prover because that is cheaper overall (safe units, the
+       majority, never pay for simulation);
+    4. BMC to the bound cap, for bugs nothing above found.
 
-    ``priors`` (see :func:`learn_priors`) order the configurations by
-    historical score *within* a class, never across classes.
+    A cheap engine missing from that order runs after BMC.  ``priors``
+    (see :func:`learn_priors`) order the configurations of the other rungs
+    by historical score; in the cheap rung they can only order
+    configurations of one engine, so no prior moves BMC ahead.
     """
     from repro.engines.base import EngineCapabilities
 
@@ -444,21 +453,19 @@ def default_budget_ladder(
                     (("representation", representation),),
                     depth_cap=shallow_k,
                 ))
+                if shallow_k == bound:
+                    continue  # the capped run is the full run
             if bound is not None:
                 options.update(bound_options(bound))
             add(capabilities.cost, PortfolioConfig.of(registration.name, **options))
 
-    def sort_key(config: PortfolioConfig) -> Tuple[int, float, int]:
-        capabilities = get_registration(config.engine).capabilities
-        if config.depth_cap is not None:
-            launch_class = 1
-        elif capabilities.sat_free:
-            launch_class = 0 if capabilities.can_prove else 2
-        else:
-            launch_class = 3
+    def sort_key(tier: str, config: PortfolioConfig) -> Tuple[int, float, int]:
+        rank = len(CHEAP_ORDER)
+        if tier == "cheap" and config.engine in CHEAP_ORDER:
+            rank = CHEAP_ORDER.index(config.engine)
         prior = (priors or {}).get(config.engine)
         score = prior["score"] if prior else float("inf")
-        return (launch_class, score, order[config.label])
+        return (rank, score, order[config.label])
 
     populated = [
         (tier, configs) for tier, configs in tiers.items() if configs
@@ -471,7 +478,11 @@ def default_budget_ladder(
             fraction = DEFAULT_RUNG_FRACTIONS.get(tier, 0.2)
             budget = max(MIN_RUNG_BUDGET, timeout * fraction)
         rungs.append(
-            LadderRung(tuple(sorted(configs, key=sort_key)), budget, tier)
+            LadderRung(
+                tuple(sorted(configs, key=lambda c: sort_key(tier, c))),
+                budget,
+                tier,
+            )
         )
     return rungs
 

@@ -51,8 +51,7 @@ class RandomSimulationEngine(Engine):
 
     name = "rsim"
     capabilities = EngineCapabilities(
-        can_prove=False, can_refute=True, representations=("word",),
-        cost="cheap", sat_free=True,
+        can_prove=False, can_refute=True, representations=("word",), cost="cheap"
     )
 
     def __init__(

@@ -2,7 +2,8 @@
 
 The cache's safety contract is the subject here: a key must change whenever
 the query's semantics change (no stale hits), a stored entry is never
-trusted (every hit is re-validated, tampered entries are demoted to misses),
+trusted (every hit is validated against its stored bytes, once per content
+in a process; tampered entries are demoted to misses),
 and invariant minimization must hand back certificates that still pass the
 independent validator on every suite design.
 """
@@ -14,6 +15,8 @@ import pytest
 
 from repro.benchmarks import BENCHMARKS, get_benchmark, load_system
 from repro.cache import ResultCache, cache_key, minimize_certificate
+from repro.cache import result_cache
+from repro.cache.result_cache import VALIDATION_MEMO, ValidationMemo
 from repro.cache.store import CacheEntry, CertificateStore
 from repro.certs import validate_certificate
 from repro.engines import (
@@ -201,6 +204,77 @@ def test_forged_invariant_fails_revalidation_and_is_demoted(tmp_path):
     assert cache.lookup(system, result.property_name, "word").reason == "absent"
 
 
+def _counting_validator(monkeypatch):
+    calls = []
+
+    def counting(system, certificate, timeout=None):
+        calls.append(certificate)
+        return validate_certificate(system, certificate, timeout=timeout)
+
+    monkeypatch.setattr(result_cache, "validate_certificate", counting)
+    return calls
+
+
+def test_hit_on_stored_bytes_reuses_the_store_time_validation(tmp_path, monkeypatch):
+    system, result = _verify("huffman_dec")
+    cache = ResultCache(str(tmp_path))
+    assert cache.store(system, result.property_name, "word", result).stored
+    calls = _counting_validator(monkeypatch)
+    for _ in range(2):
+        lookup = cache.lookup(system, result.property_name, "word")
+        assert lookup.hit and lookup.validation.ok
+        assert lookup.result.detail["cache"]["validation_memoized"]
+    assert calls == []  # validated once, at store time
+    assert cache.stats()["memo_hits"] == 2
+
+
+def test_unmemoized_entry_is_validated_once_per_content(tmp_path, monkeypatch):
+    """A fresh process (empty memo) validates on the first hit only."""
+    system, result = _verify("huffman_dec")
+    cache = ResultCache(str(tmp_path))
+    cache.store(system, result.property_name, "word", result)
+    VALIDATION_MEMO.clear()
+    calls = _counting_validator(monkeypatch)
+    first = cache.lookup(system, result.property_name, "word")
+    second = cache.lookup(system, result.property_name, "word")
+    assert first.hit and second.hit
+    assert not first.result.detail["cache"]["validation_memoized"]
+    assert second.result.detail["cache"]["validation_memoized"]
+    assert len(calls) == 1
+
+
+def test_rewritten_bytes_force_revalidation_after_a_memoized_store(tmp_path):
+    """The memo is keyed by the entry bytes: a forgery written over a
+    validated entry is validated afresh, fails, and is demoted."""
+    import dataclasses
+
+    system, result = _verify("huffman_dec")
+    cache = ResultCache(str(tmp_path))
+    cache.store(system, result.property_name, "word", result)
+    assert cache.lookup(system, result.property_name, "word").hit
+    key, _ = _stored_entry_path(cache, system, result.property_name)
+    entry = cache.store_backend.load(key)
+    forged = dataclasses.replace(entry.certificate, invariant=TRUE)
+    cache.store_backend.save(dataclasses.replace(entry, certificate=forged))
+    lookup = cache.lookup(system, result.property_name, "word")
+    assert not lookup.hit and lookup.demoted
+    assert "re-validation failed" in lookup.reason
+
+
+def test_validation_memo_keeps_only_passed_validations_and_is_bounded():
+    from repro.certs import ValidationResult
+
+    memo = ValidationMemo(capacity=2)
+    memo.put("k", "d0", ValidationResult(False, "witness", "p"))
+    assert memo.get("k", "d0") is None
+    memo.put("k", "", ValidationResult(True, "witness", "p"))
+    assert memo.get("k", "") is None  # an entry without a digest
+    for digest in ("d1", "d2", "d3"):
+        memo.put("k", digest, ValidationResult(True, "witness", "p"))
+    assert memo.get("k", "d1") is None  # least recently used, evicted
+    assert memo.get("k", "d2") is not None and memo.get("k", "d3") is not None
+
+
 def test_entry_under_wrong_key_does_not_impersonate(tmp_path):
     system, result = _verify("huffman_dec")
     cache = ResultCache(str(tmp_path))
@@ -324,10 +398,17 @@ def test_default_ladder_orders_cost_tiers():
     # non-final rungs are budgeted, the last rung takes what remains
     assert all(rung.budget is not None for rung in ladder[:-1])
     assert ladder[-1].budget is None
-    # the shallow cap is clipped to a smaller bound
-    clipped = default_budget_ladder(bound=5, timeout=60)[0].configs[1]
-    assert clipped.label == "kiki[word]@5"
-    assert clipped.options_dict["max_k"] == 5
+    # the shallow cap is clipped to a smaller bound, and the capped run then
+    # replaces the full one: no rung repeats the same kIkI computation
+    for bound in (5, SHALLOW_K):
+        clipped = default_budget_ladder(bound=bound, timeout=60)
+        assert clipped[0].labels == (
+            "absint[word]", f"kiki[word]@{bound}", "rsim[word]", "bmc[word]",
+        )
+        assert clipped[0].configs[1].options_dict["max_k"] == bound
+        assert clipped[1].labels == ("k-induction[word]",)
+    deeper = default_budget_ladder(bound=SHALLOW_K + 1, timeout=60)
+    assert "kiki[word]" in deeper[1].labels
 
 
 def test_priors_cannot_move_bmc_ahead_of_the_shallow_prover(tmp_path):
