@@ -6,7 +6,8 @@ hash of ``(design, property, representation)``.  A hit *re-validates* the
 stored certificate with the independent checker instead of re-running an
 engine — far cheaper, and exactly as trustworthy (an entry that fails
 re-validation is demoted to a miss and dropped).  SAFE certificates are
-minimized before storage so hit latency stays low.
+minimized before storage so hit latency stays low; a pool worker certifies
+its own verdict (:func:`certify_result`) and the parent commits the bytes.
 """
 
 from repro.cache.key import KEY_FORMAT, cache_key, system_to_canonical_json
@@ -19,7 +20,9 @@ from repro.cache.minimize import (
 from repro.cache.result_cache import (
     CacheLookup,
     CacheStoreOutcome,
+    Certification,
     ResultCache,
+    certify_result,
 )
 from repro.cache.store import (
     ENTRY_FORMAT,
@@ -42,5 +45,7 @@ __all__ = [
     "join_conjuncts",
     "CacheLookup",
     "CacheStoreOutcome",
+    "Certification",
     "ResultCache",
+    "certify_result",
 ]

@@ -16,6 +16,15 @@ validated certificates.  The contract:
   (:mod:`repro.cache.minimize`) so the re-validation on future hits stays
   fast.
 
+A store is two steps.  :func:`certify_result` validates the result,
+minimizes a SAFE certificate and encodes the entry; it returns the exact
+bytes it validated, or why it refused.  It runs wherever the verdict was
+produced: in the batch and server pool worker, next to the ladder, or in
+this process for :meth:`ResultCache.store`.  :meth:`ResultCache.commit` then
+re-checks the cheap provenance (key, status, certificate kind, property),
+writes those bytes and memoizes their digest.  :meth:`ResultCache.store` is
+exactly ``commit(certify_result(...))``, so there is one store path.
+
 Re-validating is much cheaper than re-verifying: the engine searched for the
 invariant or trace, the validator only checks it (a handful of SAT queries
 respectively one concrete replay).  Within one process it is done once per
@@ -38,7 +47,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.cache.key import cache_key
 from repro.cache.minimize import MinimizationResult, minimize_certificate
-from repro.cache.store import CacheEntry, CertificateStore
+from repro.cache.store import CacheEntry, CertificateStore, encode_entry
 from repro.certs import (
     INDUCTIVE,
     K_INDUCTIVE,
@@ -52,6 +61,9 @@ from repro.engines.result import Status, VerificationResult
 from repro.jsonio import write_json_atomic
 from repro.netlist import TransitionSystem
 from repro.obs import telemetry as _telemetry
+
+#: validator passes the minimizer may spend on one SAFE certificate
+MINIMIZE_MAX_CHECKS = 64
 
 #: certificate kinds that can justify each definitive status (a witness can
 #: never be served for SAFE, an invariant never for UNSAFE)
@@ -126,6 +138,167 @@ class CacheStoreOutcome:
     minimization: Optional[MinimizationResult] = None
     validate_original_s: Optional[float] = None
     validate_minimized_s: Optional[float] = None
+    #: seconds the certification took where it ran (validate + minimize)
+    certify_s: float = 0.0
+
+
+@dataclass
+class Certification:
+    """One result certified for the store, or the reason it was refused.
+
+    ``raw`` holds the exact entry bytes whose certificate passed
+    validation, ``digest`` their SHA-256.  ``validation`` is the passed
+    validation of the stored certificate, or ``None`` when the bytes do not
+    decode back to it (then no hit may skip re-validating them).
+    """
+
+    key: str
+    reason: str
+    raw: Optional[bytes] = None
+    digest: str = ""
+    status: str = ""
+    kind: str = ""
+    property_name: str = ""
+    validation: Optional[ValidationResult] = None
+    minimization: Optional[MinimizationResult] = None
+    validate_original_s: Optional[float] = None
+    validate_minimized_s: Optional[float] = None
+    #: seconds spent certifying: validation, minimization and encoding
+    certify_s: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return self.raw is not None
+
+
+def _ladder_validation(result, certificate) -> Optional[ValidationResult]:
+    """The passed validation ``run_config(certify=True)`` made of this result.
+
+    The ladder validates a definitive winner next to the engine and records
+    it in ``detail["validation"]``; that check stands in for the store's
+    original one, so a certificate is not validated twice in a row.
+    """
+    detail = getattr(result, "detail", None)
+    record = detail.get("validation") if isinstance(detail, dict) else None
+    if not (
+        isinstance(record, dict)
+        and detail.get("certified") is True
+        and record.get("ok") is True
+        and record.get("kind") == getattr(certificate, "kind", None)
+        and record.get("property") == getattr(certificate, "property_name", None)
+    ):
+        return None
+    return ValidationResult.from_json(record)
+
+
+def certify_result(
+    system: TransitionSystem,
+    property_name: str,
+    representation: str,
+    result: VerificationResult,
+    design: str = "",
+    timeout: Optional[float] = None,
+) -> Certification:
+    """Validate a definitive result and minimize its SAFE certificate.
+
+    Returns the encoded cache entry of the validated (and possibly
+    minimized) certificate, or the reason it cannot be stored.  ``timeout``
+    bounds each validation and the minimization.  The timing of the original
+    and minimized validator passes is recorded so harnesses can report the
+    hit-latency effect of minimization.
+    """
+    start = time.monotonic()
+    key = cache_key(system, property_name, representation)
+    with _telemetry.span("cache.certify", key=key, property=property_name) as span:
+
+        def refuse(reason: str, **extra) -> Certification:
+            span.set_outcome("rejected")
+            return Certification(
+                key, reason, certify_s=time.monotonic() - start, **extra
+            )
+
+        certificate = getattr(result, "certificate", None)
+        allowed = _KINDS_FOR_STATUS.get(result.status)
+        if allowed is None:
+            return refuse("verdict is not definitive")
+        if certificate is None:
+            return refuse("result carries no certificate")
+        if getattr(certificate, "kind", None) not in allowed:
+            return refuse("certificate kind cannot justify the verdict")
+        if getattr(certificate, "property_name", None) != property_name:
+            return refuse("certificate/property provenance mismatch")
+
+        validation = _ladder_validation(result, certificate)
+        if validation is None:
+            validation = validate_certificate(system, certificate, timeout=timeout)
+        validate_original_s = validation.runtime
+        if not validation.ok:
+            _telemetry.counter("cache.store_rejected")
+            return refuse(
+                f"certificate failed validation: {validation.reason}",
+                validate_original_s=validate_original_s,
+            )
+
+        minimization: Optional[MinimizationResult] = None
+        validate_minimized_s = validate_original_s
+        if result.status == Status.SAFE:
+            with _telemetry.span("cache.minimize", key=key) as minimize_span:
+                minimization = minimize_certificate(
+                    system, certificate, timeout=timeout, max_checks=MINIMIZE_MAX_CHECKS
+                )
+                minimize_span.annotate(dropped=minimization.dropped)
+            if minimization.dropped:
+                final = validate_certificate(
+                    system, minimization.certificate, timeout=timeout
+                )
+                if final.ok:
+                    certificate = minimization.certificate
+                    validation = final
+                    validate_minimized_s = final.runtime
+                else:  # pragma: no cover - minimizer re-checks drops
+                    minimization = None
+
+        # both single-engine VerificationResults and aggregated
+        # PortfolioResults (winner_engine) are storable
+        engine = (
+            getattr(result, "engine", None)
+            or getattr(result, "winner_engine", None)
+            or ""
+        )
+        entry = CacheEntry(
+            key=key,
+            status=result.status,
+            property_name=property_name,
+            engine=engine,
+            representation=representation,
+            certificate=certificate,
+            design=design or getattr(system, "name", ""),
+            minimized=bool(minimization and minimization.dropped),
+            original_size=minimization.original_size if minimization else None,
+            size=minimization.size if minimization else None,
+            extra={
+                "validate_original_s": round(validate_original_s, 6),
+                "validate_minimized_s": round(validate_minimized_s, 6),
+            },
+        )
+        raw = encode_entry(entry)
+        span.set_outcome("certified")
+        return Certification(
+            key,
+            "certified",
+            raw=raw,
+            digest=entry.digest,
+            status=entry.status,
+            kind=certificate.kind,
+            property_name=property_name,
+            # the bytes decode to the certificate just validated, so hits on
+            # them need not validate it again in this process
+            validation=validation if _round_trips(certificate) else None,
+            minimization=minimization,
+            validate_original_s=validate_original_s,
+            validate_minimized_s=validate_minimized_s,
+            certify_s=time.monotonic() - start,
+        )
 
 
 class PersistentCounters:
@@ -181,17 +354,15 @@ class ResultCache:
         self,
         root: str,
         validation_timeout: Optional[float] = None,
-        minimize: bool = True,
-        minimize_max_checks: int = 64,
         max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
     ) -> None:
         self.store_backend = CertificateStore(
             root, max_entries=max_entries, max_bytes=max_bytes
         )
+        #: deadline of every validation this cache runs, or a worker runs
+        #: certifying a result for it
         self.validation_timeout = validation_timeout
-        self.minimize = minimize
-        self.minimize_max_checks = minimize_max_checks
         # observability counters (per ResultCache instance)
         self.hits = 0
         self.misses = 0
@@ -336,113 +507,66 @@ class ResultCache:
         result: VerificationResult,
         design: str = "",
     ) -> CacheStoreOutcome:
-        """Offer one engine result to the cache.
+        """Offer one engine result to the cache: certify it, then commit it.
 
         Only definitive verdicts whose certificate the independent validator
-        accepts enter the store; SAFE certificates are minimized first.  The
-        timing of the original-vs-minimized validator passes is recorded so
-        harnesses can report the hit-latency effect of minimization.
+        accepts enter the store; SAFE certificates are minimized first (see
+        :func:`certify_result`).
         """
-        key = self.key_for(system, property_name, representation)
-        with _telemetry.span(
-            "cache.store", key=key, property=property_name
-        ) as store_span:
-            certificate = getattr(result, "certificate", None)
-            allowed = _KINDS_FOR_STATUS.get(result.status)
-            if allowed is None:
-                store_span.set_outcome("rejected")
-                return CacheStoreOutcome(False, key, "verdict is not definitive")
-            if certificate is None:
-                store_span.set_outcome("rejected")
-                return CacheStoreOutcome(False, key, "result carries no certificate")
-            if getattr(certificate, "kind", None) not in allowed:
-                store_span.set_outcome("rejected")
-                return CacheStoreOutcome(
-                    False, key, "certificate kind cannot justify the verdict"
-                )
+        certification = certify_result(
+            system, property_name, representation, result, design, self.validation_timeout
+        )
+        return self.commit(
+            certification,
+            key=certification.key,
+            property_name=property_name,
+            status=result.status,
+        )
 
-            t0 = time.monotonic()
-            validation = validate_certificate(
-                system, certificate, timeout=self.validation_timeout
-            )
-            validate_original_s = time.monotonic() - t0
-            if not validation.ok:
-                _telemetry.counter("cache.store_rejected")
-                store_span.set_outcome("rejected")
+    def commit(
+        self, certification: Certification, *, key: str, property_name: str, status: str
+    ) -> CacheStoreOutcome:
+        """Write a certification's entry bytes exactly as they were validated.
+
+        ``key``, ``property_name`` and ``status`` describe the query and
+        verdict the caller holds; the certification must match them, with a
+        certificate kind that can justify the status, or nothing is written
+        (the cheap provenance re-check of bytes certified elsewhere).  The
+        bytes' digest goes into :data:`VALIDATION_MEMO`, so a hit on them in
+        this process skips re-validation, while any rewrite of the bytes
+        changes the digest and is validated afresh.
+        """
+        with _telemetry.span("cache.store", key=key, property=property_name) as store_span:
+
+            def outcome(stored: bool, reason: str, path: Optional[str] = None):
+                store_span.set_outcome("stored" if stored else "rejected")
                 return CacheStoreOutcome(
-                    False,
+                    stored,
                     key,
-                    f"certificate failed validation: {validation.reason}",
-                    validate_original_s=validate_original_s,
+                    reason,
+                    path=path,
+                    minimization=certification.minimization if stored else None,
+                    validate_original_s=certification.validate_original_s,
+                    validate_minimized_s=certification.validate_minimized_s,
+                    certify_s=certification.certify_s,
                 )
 
-            minimization: Optional[MinimizationResult] = None
-            validate_minimized_s = validate_original_s
-            stored_validation = validation
-            if self.minimize and result.status == Status.SAFE:
-                with _telemetry.span("cache.minimize", key=key) as minimize_span:
-                    minimization = minimize_certificate(
-                        system,
-                        certificate,
-                        timeout=self.validation_timeout,
-                        max_checks=self.minimize_max_checks,
-                    )
-                    minimize_span.annotate(dropped=minimization.dropped)
-                certificate = minimization.certificate
-                if minimization.dropped:
-                    t1 = time.monotonic()
-                    final = validate_certificate(
-                        system, certificate, timeout=self.validation_timeout
-                    )
-                    validate_minimized_s = time.monotonic() - t1
-                    if final.ok:
-                        stored_validation = final
-                    else:  # pragma: no cover - minimizer re-checks drops
-                        certificate = getattr(result, "certificate")
-                        minimization = None
-                        validate_minimized_s = validate_original_s
-
-            # both single-engine VerificationResults and aggregated
-            # PortfolioResults (winner_engine) are storable
-            engine = (
-                getattr(result, "engine", None)
-                or getattr(result, "winner_engine", None)
-                or ""
-            )
-            entry = CacheEntry(
-                key=key,
-                status=result.status,
-                property_name=property_name,
-                engine=engine,
-                representation=representation,
-                certificate=certificate,
-                design=design or getattr(system, "name", ""),
-                minimized=bool(minimization and minimization.dropped),
-                original_size=minimization.original_size if minimization else None,
-                size=minimization.size if minimization else None,
-                extra={
-                    "validate_original_s": round(validate_original_s, 6),
-                    "validate_minimized_s": round(validate_minimized_s, 6),
-                },
-            )
-            path = self.store_backend.save(entry)
-            # the bytes just written decode to the certificate just validated,
-            # so hits on them need not validate it again in this process
-            if _round_trips(certificate):
-                VALIDATION_MEMO.put(key, entry.digest, stored_validation)
+            if not certification.ok:
+                return outcome(False, certification.reason)
+            if (
+                certification.key != key
+                or certification.property_name != property_name
+                or certification.status != status
+                or certification.kind not in _KINDS_FOR_STATUS.get(status, ())
+            ):
+                return outcome(False, "certification provenance mismatch")
+            path = self.store_backend.save_bytes(key, certification.raw)
+            if certification.validation is not None:
+                VALIDATION_MEMO.put(key, certification.digest, certification.validation)
             self.stores += 1
             self.persistent.bump(stores=1)
             _telemetry.counter("cache.store")
-            store_span.set_outcome("stored")
-            return CacheStoreOutcome(
-                True,
-                key,
-                "stored",
-                path=path,
-                minimization=minimization,
-                validate_original_s=validate_original_s,
-                validate_minimized_s=validate_minimized_s,
-            )
+            return outcome(True, "stored", path)
 
     # ------------------------------------------------------------------
     def fsck(

@@ -169,6 +169,23 @@ class CacheEntry:
         )
 
 
+def encode_entry(entry: CacheEntry) -> bytes:
+    """The entry document's bytes as the store writes them.
+
+    Stamps ``created_s`` (when unset) and ``digest`` on the entry, so the
+    digest names exactly the returned bytes.
+    """
+    if not entry.created_s:
+        entry.created_s = time.time()
+    raw = (json.dumps(entry.to_json(), indent=2) + "\n").encode("utf-8")
+    entry.digest = _entry_digest(raw)
+    return raw
+
+
+def _entry_digest(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()
+
+
 class CertificateStore:
     """The file-system layer of the result cache.
 
@@ -220,7 +237,7 @@ class CertificateStore:
             return None, "undecodable"
         if entry.key != key:
             return None, "key-mismatch"
-        entry.digest = hashlib.sha256(raw).hexdigest()
+        entry.digest = _entry_digest(raw)
         return entry, "ok"
 
     def load(self, key: str) -> Optional[CacheEntry]:
@@ -267,13 +284,13 @@ class CertificateStore:
 
     def save(self, entry: CacheEntry) -> str:
         """Atomically write one entry; returns its path."""
-        path = self.path_for(entry.key)
+        return self.save_bytes(entry.key, encode_entry(entry))
+
+    def save_bytes(self, key: str, raw: bytes) -> str:
+        """Atomically write one entry document exactly as encoded; returns its path."""
+        path = self.path_for(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        if not entry.created_s:
-            entry.created_s = time.time()
-        payload = json.dumps(entry.to_json(), indent=2) + "\n"
-        raw = payload.encode("utf-8")
-        entry.digest = hashlib.sha256(raw).hexdigest()
+        payload = raw.decode("utf-8")
         with self.lock:
             fd, temp_path = tempfile.mkstemp(
                 dir=os.path.dirname(path), suffix=".tmp"
@@ -288,7 +305,7 @@ class CertificateStore:
                 except OSError:
                     pass
                 raise
-            _fault_injection.tamper_saved_entry(path, entry.key, payload)
+            _fault_injection.tamper_saved_entry(path, key, payload)
             self.evict()
         return path
 

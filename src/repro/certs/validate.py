@@ -23,6 +23,21 @@ fresh SAT queries over expressions the validator stamps itself
 
 Each obligation is recorded separately so a failed validation names exactly
 which proof step broke.
+
+**Cone of influence.**  An obligation is a set of *conjuncts* (reset state,
+environment constraints at every frame, invariants, the negated property,
+simple-path) plus the transition *definitions* ``v#(f+1) = next(v)@f``, one
+per register and step.  Only the conjuncts are asserted outright; a
+definition is added when its target is referenced by something already
+asserted, to a fixpoint, so logic the obligation never reads (the multiplier
+behind ``mac16.acc`` for a property over ``cnt``) is never bit-blasted.  This
+is exactly equisatisfiable: each target is defined once and definitions only
+point backwards in time (frame ``f + 1`` from frame ``f``), so any model of
+the kept formula extends to the dropped definitions by evaluating them in
+frame order — none of their targets is read by a kept formula.  And dropping
+conjuncts can only turn UNSAT into SAT, never the reverse, so a ``holds``
+outcome on the cone is a ``holds`` on the whole obligation.  Every
+obligation note records the kept/total definition count.
 """
 
 from __future__ import annotations
@@ -100,6 +115,22 @@ class ValidationResult:
             "reason": self.reason,
             "runtime_s": round(self.runtime, 6),
         }
+
+    @staticmethod
+    def from_json(document: Dict[str, object]) -> "ValidationResult":
+        """Rebuild a result from :meth:`to_json` (obligation notes are not kept)."""
+        return ValidationResult(
+            bool(document.get("ok")),
+            str(document.get("kind", "")),
+            str(document.get("property", "")),
+            engine=str(document.get("engine", "")),
+            obligations=[
+                Obligation(str(name), str(outcome))
+                for name, outcome in dict(document.get("obligations", {})).items()
+            ],
+            reason=str(document.get("reason", "")),
+            runtime=float(document.get("runtime_s", 0.0)),
+        )
 
 
 class CertificateValidator:
@@ -213,30 +244,59 @@ class CertificateValidator:
             ]
         )
 
-    def _trans_exprs(self, frame: int) -> List[Expr]:
-        """Transition from ``frame`` to ``frame + 1`` plus constraints at ``frame``."""
-        exprs = []
-        for name, next_expr in self.flat.next.items():
-            target = bv_var(f"{name}#{frame + 1}", self.flat.state_vars[name])
-            exprs.append(bv_eq(target, self._at(next_expr, frame)))
-        exprs.extend(self._at(constraint, frame) for constraint in self.flat.constraints)
-        return exprs
+    def _trans_exprs(self, frame: int) -> Tuple[List[Expr], Dict[str, Expr]]:
+        """Step ``frame`` → ``frame + 1``: constraints at ``frame`` (conjuncts)
+        and ``v#(frame+1) = next(v)@frame`` (definitions, keyed by target)."""
+        definitions = {
+            f"{name}#{frame + 1}": bv_eq(
+                bv_var(f"{name}#{frame + 1}", self.flat.state_vars[name]),
+                self._at(next_expr, frame),
+            )
+            for name, next_expr in self.flat.next.items()
+        }
+        return self._constraints_at(frame), definitions
+
+    def _unroll(
+        self, conjuncts: List[Expr], steps: int
+    ) -> Tuple[List[Expr], Dict[str, Expr]]:
+        """``steps`` transitions from frame 0, appended to ``conjuncts``."""
+        definitions: Dict[str, Expr] = {}
+        for frame in range(steps):
+            constraints, step = self._trans_exprs(frame)
+            conjuncts.extend(constraints)
+            definitions.update(step)
+        return conjuncts, definitions
 
     def _constraints_at(self, frame: int) -> List[Expr]:
         return [self._at(constraint, frame) for constraint in self.flat.constraints]
 
-    def _unsat(self, exprs: List[Expr]) -> str:
-        """Check a conjunction with a fresh solver; HOLDS iff unsatisfiable."""
+    def _unsat(
+        self, conjuncts: List[Expr], definitions: Dict[str, Expr]
+    ) -> Tuple[str, str]:
+        """Check an obligation with a fresh solver; HOLDS iff unsatisfiable.
+
+        Asserts every conjunct, then only the definitions in their cone of
+        influence (see the module docstring).  Returns the outcome and a
+        note with the kept/total definition count.
+        """
         solver = BVSolver()
         solver.set_deadline(self._deadline)
-        for expr in exprs:
+        asserted: List[Expr] = list(conjuncts)
+        kept = set()
+        for expr in asserted:  # grows as the cone is reached
             solver.assert_expr(expr)
+            # sorted: a deterministic assertion order, whatever the hash seed
+            for var in sorted(collect_vars(expr), key=lambda v: v.name):
+                if var.name in definitions and var.name not in kept:
+                    kept.add(var.name)
+                    asserted.append(definitions[var.name])
+        note = f"cone {len(kept)}/{len(definitions)} definitions"
         outcome = solver.check()
         if outcome == BVResult.UNSAT:
-            return HOLDS
+            return HOLDS, note
         if outcome == BVResult.SAT:
-            return FAILED
-        return UNDECIDED
+            return FAILED, note
+        return UNDECIDED, note
 
     def _check_state_expr(self, expr: Expr, label: str) -> Optional[str]:
         """Reject invariants mentioning signals that are not state variables."""
@@ -281,18 +341,20 @@ class CertificateValidator:
                 [self._at(self._init_expr(), 0)]
                 + self._constraints_at(0)
                 + [self._at(bool_not(invariant), 0)],
+                {},
             ),
             (
                 "consecution",  # Inv ∧ C ∧ T ⊆ Inv′
-                [self._at(invariant, 0)]
-                + self._trans_exprs(0)
-                + [self._at(bool_not(invariant), 1)],
+                *self._unroll(
+                    [self._at(invariant, 0), self._at(bool_not(invariant), 1)], 1
+                ),
             ),
             (
                 "property",  # Inv ∧ C ⊆ P
                 [self._at(invariant, 0)]
                 + self._constraints_at(0)
                 + [self._at(bool_not(prop.expr), 0)],
+                {},
             ),
         ]
         return self._discharge(result, checks)
@@ -336,39 +398,36 @@ class CertificateValidator:
                     [self._at(self._init_expr(), 0)]
                     + self._constraints_at(0)
                     + [self._at(bool_not(aux), 0)],
+                    {},
                 )
             )
             checks.append(
                 (
                     "aux-consecution",  # A ∧ C ∧ T ⊆ A′
-                    [self._at(aux, 0)]
-                    + self._trans_exprs(0)
-                    + [self._at(bool_not(aux), 1)],
+                    *self._unroll([self._at(aux, 0), self._at(bool_not(aux), 1)], 1),
                 )
             )
 
         # base: from reset, P holds in frames 0 .. k-1
-        base: List[Expr] = [self._at(self._init_expr(), 0)]
-        for frame in range(k - 1):
-            base.extend(self._trans_exprs(frame))
+        base, base_definitions = self._unroll([self._at(self._init_expr(), 0)], k - 1)
         base.extend(self._constraints_at(k - 1))
         base.append(
             bool_not(bool_and(*[self._at(prop.expr, frame) for frame in range(k)]))
         )
-        checks.append(("base", base))
+        checks.append(("base", base, base_definitions))
 
         # step: k consecutive (P ∧ A)-frames force P in frame k
         step: List[Expr] = []
         for frame in range(k):
             step.append(self._at(prop.expr, frame))
             step.append(self._at(aux, frame))
-            step.extend(self._trans_exprs(frame))
+        step, step_definitions = self._unroll(step, k)
         step.append(self._at(aux, k))
         step.extend(self._constraints_at(k))
         if certificate.simple_path:
             step.extend(self._simple_path_exprs(k))
         step.append(self._at(bool_not(prop.expr), k))
-        checks.append(("step", step))
+        checks.append(("step", step, step_definitions))
         return self._discharge(result, checks)
 
     def _simple_path_exprs(self, last_frame: int) -> List[Expr]:
@@ -388,12 +447,14 @@ class CertificateValidator:
 
     # ------------------------------------------------------------------
     def _discharge(
-        self, result: ValidationResult, checks: List[Tuple[str, List[Expr]]]
+        self,
+        result: ValidationResult,
+        checks: List[Tuple[str, List[Expr], Dict[str, Expr]]],
     ) -> ValidationResult:
         all_hold = True
-        for name, exprs in checks:
-            outcome = self._unsat(exprs)
-            result.obligations.append(Obligation(name, outcome))
+        for name, conjuncts, definitions in checks:
+            outcome, note = self._unsat(conjuncts, definitions)
+            result.obligations.append(Obligation(name, outcome, note))
             if outcome != HOLDS:
                 all_hold = False
                 if not result.reason:

@@ -21,9 +21,15 @@ The serving workload of the ROADMAP is not "one design, one query" but a
   cores on batch parallelism, racing engines per item would oversubscribe —
   instead each worker escalates cheap → medium → heavy one engine at a
   time and stops at the first definitive answer;
-* definitive results flow back to the parent, are validated, minimized and
-  stored into the cache, so the *next* sweep over the same designs is all
-  hits.
+* with a cache attached, the worker that produced a definitive verdict also
+  certifies it (:func:`repro.cache.result_cache.certify_result`): it
+  validates the certificate, minimizes a SAFE one and encodes the cache
+  entry, in parallel with the other units.  The parent re-checks the cheap
+  provenance, writes the exact bytes the worker validated and memoizes
+  their digest (:meth:`ResultCache.commit`), so the *next* sweep over the
+  same designs is all hits.  A forged or failing certificate is refused in
+  the worker and never written.  The unit's ``wall_s`` includes this
+  certification; ``certify_s`` reports its share.
 """
 
 from __future__ import annotations
@@ -156,9 +162,12 @@ class BatchItemResult:
     source: str
     #: the deciding engine's own time (re-validation time for cache hits)
     runtime_s: float
-    #: the unit's wall time: its supervised attempts end to end (the
-    #: re-validation for cache hits)
+    #: the unit's wall time: its supervised attempts end to end, including
+    #: the worker's certification (the re-validation for cache hits)
     wall_s: float = 0.0
+    #: seconds the worker spent certifying the verdict for the cache
+    #: (validate + minimize + encode); ``None`` when nothing was certified
+    certify_s: Optional[float] = None
     cache_key: Optional[str] = None
     #: True iff the verdict is backed by an independently validated
     #: certificate (always true for cache hits; true for stored results)
@@ -185,6 +194,7 @@ class BatchItemResult:
             "source": self.source,
             "runtime_s": round(self.runtime_s, 6),
             "wall_s": round(self.wall_s, 6),
+            "certify_s": None if self.certify_s is None else round(self.certify_s, 6),
             "cache_key": self.cache_key,
             "validated": self.validated,
             "stored": self.stored,
@@ -245,16 +255,19 @@ class BatchReport:
 # ---------------------------------------------------------------------------
 
 
-def _batch_worker(
-    payload: Tuple[int, VerificationTask, Optional[str], Tuple[LadderRung, ...], Optional[float], bool],
-) -> Tuple[int, VerificationResult]:
+def _batch_worker(payload: Tuple) -> Tuple[int, VerificationResult, object]:
     """Run one unit of work (the in-process ladder) in a pool process.
 
-    Engine crashes and unpicklable results are handled per configuration by
+    ``payload`` is ``(index, task, property_name, rungs, timeout, certify,
+    store)``.  With ``store`` — ``(representation, validation timeout)`` of
+    the caller's cache — a definitive verdict is certified right here, next to
+    the ladder, and the :class:`~repro.cache.result_cache.Certification`
+    travels back with the result for the parent to commit.  Engine crashes
+    and unpicklable results are handled per configuration by
     :func:`repro.engines.portfolio.run_config`; a failure to load the
     design (or of the ladder itself) becomes the unit's ERROR result here.
     """
-    index, task, property_name, rungs, timeout, certify = payload
+    index, task, property_name, rungs, timeout, certify, store = payload
     start = time.monotonic()
     try:
         with _telemetry.span(
@@ -273,7 +286,15 @@ def _batch_worker(
             runtime=time.monotonic() - start,
             reason=f"{type(error).__name__}: {error}",
         )
-    return index, result
+    certification = None
+    if store is not None and result.is_definitive:
+        from repro.cache.result_cache import certify_result
+
+        representation, validation_timeout = store
+        certification = certify_result(
+            system, property_name, representation, result, task.name, validation_timeout
+        )
+    return index, result, certification
 
 
 def _result_from_outcome(
@@ -316,7 +337,8 @@ def run_supervised_unit(
     abort=None,
     stall=None,
     on_event=None,
-) -> Tuple[VerificationResult, SupervisedOutcome]:
+    store=None,
+) -> Tuple[VerificationResult, SupervisedOutcome, object]:
     """Run one ``(task, property)`` unit in a supervised worker process.
 
     This is the single-unit form of the batch pool (:func:`_run_units`).
@@ -324,9 +346,11 @@ def run_supervised_unit(
     request gets exactly the deadline/kill/retry hygiene of a batch unit —
     plus ``abort`` for client-disconnect cancellation and ``stall`` for the
     wedged-request liveness kill (both settable events, see
-    :meth:`WorkerSupervisor.run_map`).
+    :meth:`WorkerSupervisor.run_map`).  ``store`` is the worker's
+    certification request (see :func:`_batch_worker`); the returned
+    certification is ``None`` without one.
     """
-    payload = (0, task, property_name, tuple(rungs), timeout, certify)
+    payload = (0, task, property_name, tuple(rungs), timeout, certify, store)
     return _run_units(
         WorkerSupervisor(default_context(), retry=retry),
         [payload],
@@ -345,11 +369,12 @@ def _run_units(
     jobs: int,
     timeout: Optional[float],
     **map_options,
-) -> List[Tuple[VerificationResult, SupervisedOutcome]]:
+) -> List[Tuple[VerificationResult, SupervisedOutcome, object]]:
     """Run batch units through :meth:`WorkerSupervisor.run_map`.
 
     Each payload is ``(index, task, property_name, rungs, timeout,
-    certify)``.  The attempt's allowance is threaded into the payload, so
+    certify, store)``; each answer is ``(result, outcome,
+    certification)``.  The attempt's allowance is threaded into the payload, so
     the ladder (and its solvers) arm cooperative deadlines; the external
     kill is only the backstop for wedged workers.  A ladder that returned
     no definitive verdict is retried under the remaining budget.  A unit
@@ -366,12 +391,9 @@ def _run_units(
         **map_options,
     )
     return [
-        (
-            outcome.value[1]
-            if outcome.value is not None
-            else _result_from_outcome(outcome, payload[2]),
-            outcome,
-        )
+        (outcome.value[1], outcome, outcome.value[2])
+        if outcome.value is not None
+        else (_result_from_outcome(outcome, payload[2]), outcome, None)
         for payload, outcome in zip(payloads, outcomes)
     ]
 
@@ -385,7 +407,7 @@ def _accept_definitive(payload, value) -> Optional[str]:
     rejected answer as the fallback if the retry fares no better.
     """
     try:
-        _, result = value
+        _, result, _ = value
     except (TypeError, ValueError):
         return "malformed worker answer"
     if result.status in Status.DEFINITIVE:
@@ -406,8 +428,9 @@ class BatchRunner:
     cache:
         Optional :class:`repro.cache.ResultCache`.  Hits are served from
         the parent after re-validation; definitive pool results are
-        validated, minimized and stored back, so the cache warms up over
-        the batch and across batches.
+        validated and minimized in the worker that produced them and
+        committed by the parent, so the cache warms up over the batch and
+        across batches.
     jobs:
         Pool size (default: CPU count, capped by the number of misses).
     timeout:
@@ -521,6 +544,7 @@ class BatchRunner:
 
         # serve cache hits from the parent (re-validated), queue the misses
         pending: List[int] = []
+        keys: Dict[int, str] = {}
         for index, (task, property_name, expected) in enumerate(units):
             if self.cache is None:
                 pending.append(index)
@@ -531,6 +555,7 @@ class BatchRunner:
                 pending.append(index)  # the worker reports the load error
                 continue
             lookup = self.cache.lookup(system, property_name, self.representation)
+            keys[index] = lookup.key
             if lookup.hit:
                 assert lookup.result is not None
                 report.cache_hits += 1
@@ -579,8 +604,13 @@ class BatchRunner:
             jobs = self.jobs or os.cpu_count() or 1
             jobs = max(1, min(jobs, len(pending)))
             report.workers = jobs
+            store = (
+                None
+                if self.cache is None
+                else (self.representation, self.cache.validation_timeout)
+            )
             payloads = [
-                (index, *units[index][:2], self.ladder, self.timeout, self.certify)
+                (index, *units[index][:2], self.ladder, self.timeout, self.certify, store)
                 for index in pending
             ]
             for index in pending:
@@ -596,10 +626,12 @@ class BatchRunner:
                     "supervision", **{"kind" if k == "event" else k: v for k, v in event.items()}
                 ),
             )
-            for payload, (result, outcome) in zip(payloads, ran):
+            for payload, (result, outcome, certification) in zip(payloads, ran):
                 index = payload[0]
                 task, property_name, expected = units[index]
-                row = self._finish(task, property_name, expected, result)
+                row = self._finish(
+                    task, property_name, expected, result, certification, keys.get(index)
+                )
                 row.supervision = outcome.to_json()
                 row.wall_s = sum(a["runtime_s"] for a in outcome.attempts)
                 report.items[index] = row
@@ -617,8 +649,14 @@ class BatchRunner:
         property_name: str,
         expected: Optional[str],
         result: VerificationResult,
+        certification,
+        key: Optional[str],
     ) -> BatchItemResult:
-        """Record one pool result, storing it into the cache when possible."""
+        """Record one pool result, committing the worker's certification.
+
+        ``key`` is the cache key the parent looked the unit up under (none
+        when it could not load the design, and then nothing is committed).
+        """
         row = BatchItemResult(
             design=task.name,
             property_name=property_name,
@@ -638,11 +676,12 @@ class BatchRunner:
             runtime=result.runtime,
         )
         if self.cache is not None and result.is_definitive:
-            system = task.load()
-            outcome = self.cache.store(
-                system, property_name, self.representation, result, design=task.name
+            # the worker certified every definitive verdict it returned
+            outcome = self.cache.commit(
+                certification, key=key, property_name=property_name, status=result.status
             )
             row.cache_key = outcome.key
+            row.certify_s = outcome.certify_s
             row.stored = outcome.stored
             row.validated = outcome.stored
             if outcome.minimization is not None:

@@ -605,8 +605,10 @@ def run_config(payload: Tuple) -> VerificationResult:
     (in-process).  An engine exception becomes an ERROR result — the crash
     category of the paper.  With ``certify`` a definitive answer is checked
     by the independent validator right here, next to the engine:
-    ``detail["certified"]`` records the verdict of the check and, for a
-    rejected certificate, ``detail["certify_reason"]`` the reason.  A
+    ``detail["certified"]`` records the verdict of the check,
+    ``detail["validation"]`` its record (which a cache store reuses as its
+    own original check) and, for a rejected certificate,
+    ``detail["certify_reason"]`` the reason.  A
     result that cannot be pickled (engine-specific detail) keeps its
     verdict, times and telemetry but drops the rest, so it can always cross
     a process boundary.
@@ -631,6 +633,7 @@ def run_config(payload: Tuple) -> VerificationResult:
 
             validation = validate_result(system, result, timeout=timeout)
             result.detail["certified"] = validation.ok
+            result.detail["validation"] = validation.to_json()
             if not validation.ok:
                 result.detail["certify_reason"] = validation.reason
     except Exception as error:  # noqa: BLE001 - crash category of the paper

@@ -727,9 +727,9 @@ class VerifyServer:
                     work.property_name,
                     reason="deadline exceeded while queued",
                 )
-                source = "deadline"
+                source, validated = "deadline", None
             else:
-                result, source = await asyncio.to_thread(
+                result, source, validated = await asyncio.to_thread(
                     self._compute, work, timeout
                 )
                 self.throttle.observe(time.monotonic() - started)
@@ -738,7 +738,7 @@ class VerifyServer:
                 )
             if work.span is not None:
                 work.span.finish(outcome=f"{result.status}:{source}")
-            await self._answer(work, result, source)
+            await self._answer(work, result, source, validated)
         finally:
             self.inflight.pop(work.key, None)
             self.active -= 1
@@ -746,7 +746,13 @@ class VerifyServer:
             self._work_done.set()
 
     def _compute(self, work: _Work, timeout: Optional[float]):
-        """Run one computation in this executor thread (workers fork from here)."""
+        """Run one computation in this executor thread (workers fork from here).
+
+        Returns ``(result, source, validated)``: ``validated`` is True for
+        a cache hit and, for a computed definitive verdict with a cache
+        attached, whether the worker's certification passed and was stored;
+        ``None`` when nothing validated the verdict for the cache.
+        """
         recorder = _telemetry.get_recorder()
         scope = (
             recorder.under(work.span)
@@ -763,14 +769,14 @@ class VerifyServer:
                     system, work.property_name, work.representation
                 )
                 if lookup.hit:
-                    return lookup.result, "cache"
+                    return lookup.result, "cache", True
             rungs = default_budget_ladder(
                 (work.representation,),
                 bound=work.bound,
                 timeout=timeout,
                 priors=self.priors,
             )
-            result, _outcome = run_supervised_unit(
+            result, _outcome, certification = run_supervised_unit(
                 work.task,
                 work.property_name,
                 rungs,
@@ -780,36 +786,36 @@ class VerifyServer:
                 abort=work.abort,
                 stall=work.stall,
                 on_event=self._supervision_observer(work),
+                store=(
+                    None
+                    if self.cache is None
+                    else (work.representation, self.cache.validation_timeout)
+                ),
             )
-            if self.cache is not None and result.is_definitive:
-                self.cache.store(
-                    system,
-                    work.property_name,
-                    work.representation,
-                    result,
-                    design=work.task.name,
-                )
-            return result, "computed"
+            if self.cache is None or not result.is_definitive:
+                return result, "computed", None
+            # the worker certified the verdict next to the ladder: commit
+            # the bytes it validated
+            stored = self.cache.commit(
+                certification,
+                key=lookup.key,
+                property_name=work.property_name,
+                status=result.status,
+            )
+            return result, "computed", stored.stored
 
-    async def _answer(self, work: _Work, result: VerificationResult, source: str):
+    async def _answer(
+        self,
+        work: _Work,
+        result: VerificationResult,
+        source: str,
+        validated: Optional[bool],
+    ):
         # no coalescer may attach once the reply fan-out starts: the waiter
         # snapshot below is the complete audience for this computation
         work.done = True
         waiters = list(work.waiters)
         work.waiters.clear()
-        validated = None
-        if source == "cache":
-            validated = True
-        elif self.cache is not None and result.is_definitive:
-            # either the in-ladder --certify gate (detail["certified"]) or an
-            # explicit validation record marks the verdict as validated
-            validated = bool(
-                isinstance(result.detail, dict)
-                and (
-                    result.detail.get("certified") is True
-                    or result.detail.get("validation", {}).get("ok")
-                )
-            ) or None
         reply_base = {
             "ok": True,
             "op": "result",

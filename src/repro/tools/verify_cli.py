@@ -761,6 +761,9 @@ def _run_batch(args, cache) -> int:
         note = item.source
         if item.source != "cache":
             note += f" {item.runtime_s:.3f}s"
+        if item.certify_s is not None:
+            # the worker's validate + minimize share of the unit's wall time
+            note += f" certify {item.certify_s:.3f}s"
         if (
             cache is not None
             and status in Status.DEFINITIVE

@@ -339,6 +339,122 @@ def test_minimization_shrinks_a_padded_invariant():
 
 
 # ---------------------------------------------------------------------------
+# certification next to the verdict: the worker certifies, the parent commits
+# ---------------------------------------------------------------------------
+
+
+def _worker_unit(design, cache, certify=False):
+    """Run one unit through the batch worker in-process, certifying for ``cache``."""
+    from repro.engines.batch import _batch_worker
+
+    task = VerificationTask.benchmark(design)
+    system = task.load()
+    prop = system.properties[0].name
+    ladder = tuple(default_budget_ladder(bound=40, timeout=60, priors={}))
+    _, result, certification = _batch_worker(
+        (0, task, prop, ladder, 60.0, certify, ("word", cache.validation_timeout))
+    )
+    return system, prop, result, certification
+
+
+def test_parent_commits_the_exact_bytes_the_worker_validated(tmp_path, monkeypatch):
+    cache = ResultCache(str(tmp_path))
+    system, prop, result, certification = _worker_unit("rcu", cache)
+    assert result.status == Status.SAFE and certification.ok
+    assert certification.minimization.dropped  # rcu's auxiliaries go
+    key = cache.key_for(system, prop)
+
+    # the cheap provenance re-check refuses a certification for another query
+    query = {"key": key, "property_name": prop, "status": result.status}
+    for wrong in ({"key": "0" * 64}, {"property_name": "other"}, {"status": Status.UNSAFE}):
+        outcome = cache.commit(certification, **{**query, **wrong})
+        assert not outcome.stored
+        assert outcome.reason == "certification provenance mismatch"
+    assert len(cache.store_backend) == 0
+
+    outcome = cache.commit(certification, **query)
+    assert outcome.stored and outcome.key == key
+    with open(outcome.path, "rb") as handle:
+        assert handle.read() == certification.raw
+    # the digest of those bytes is memoized: a hit here validates nothing
+    calls = _counting_validator(monkeypatch)
+    lookup = cache.lookup(system, prop, "word")
+    assert lookup.hit and lookup.result.detail["cache"]["validation_memoized"]
+    assert lookup.entry.minimized and calls == []
+
+
+def test_forged_certificate_is_refused_before_anything_is_written(tmp_path):
+    from repro.cache.result_cache import certify_result
+
+    system = load_system("daio")
+    forged = make_engine("oracle", system, claim=Status.SAFE).verify(timeout=10)
+    assert forged.status == Status.SAFE and forged.certificate is not None
+    certification = certify_result(system, forged.property_name, "word", forged)
+    assert not certification.ok and certification.raw is None
+    assert certification.reason.startswith("certificate failed validation")
+    cache = ResultCache(str(tmp_path))
+    outcome = cache.commit(
+        certification,
+        key=certification.key,
+        property_name=forged.property_name,
+        status=forged.status,
+    )
+    assert not outcome.stored and outcome.reason == certification.reason
+    assert len(cache.store_backend) == 0
+
+
+@pytest.mark.parametrize("design", ["rcu", "buffalloc", "daio"])
+@pytest.mark.parametrize("certify", [False, True])
+def test_one_validation_per_stored_certificate(tmp_path, monkeypatch, design, certify):
+    """The store validates the certificate once, or not at all when the
+    ``certify`` ladder already validated it next to the engine; a minimized
+    certificate costs one more validation besides the minimizer's checks."""
+    from repro.certs.validate import CertificateValidator
+
+    calls = []
+    validate = CertificateValidator.validate
+
+    def counting(self, certificate):
+        calls.append(certificate)
+        return validate(self, certificate)
+
+    monkeypatch.setattr(CertificateValidator, "validate", counting)
+    cache = ResultCache(str(tmp_path))
+    _, _, result, certification = _worker_unit(design, cache, certify=certify)
+    assert certification.ok
+    assert result.detail.get("certified") is (True if certify else None)
+    minimization = certification.minimization
+    checks = minimization.checks if minimization else 0
+    minimized = 1 if minimization and minimization.dropped else 0
+    assert len(calls) == 1 + checks + minimized
+
+
+def test_batch_workers_certify_and_the_parent_only_commits(tmp_path, monkeypatch):
+    def parent_store(*args, **kwargs):
+        raise AssertionError("the parent certified a pool result itself")
+
+    monkeypatch.setattr(ResultCache, "store", parent_store)
+    cache = ResultCache(str(tmp_path))
+    items = [BatchItem.benchmark("daio"), BatchItem.benchmark("rcu")]
+    report = BatchRunner(cache=cache, timeout=90, bound=80, jobs=2).run(items)
+    assert report.all_definitive and report.all_correct
+    for item in report.items:
+        assert item.stored and item.validated
+        # the worker's certification is part of the unit's wall time
+        assert 0 < item.certify_s <= item.wall_s
+        assert item.to_json()["certify_s"] == round(item.certify_s, 6)
+    rcu = next(item for item in report.items if item.design == "rcu")
+    assert rcu.minimization["minimized"]
+    assert rcu.minimization["validate_original_s"] > 0
+    assert rcu.minimization["validate_minimized_s"] > 0
+    # the parent memoized the committed bytes: warm hits validate nothing
+    calls = _counting_validator(monkeypatch)
+    warm = BatchRunner(cache=cache, timeout=90, bound=80, jobs=2).run(items)
+    assert warm.cache_hits == 2 and calls == []
+    assert all(item.certify_s is None for item in warm.items)
+
+
+# ---------------------------------------------------------------------------
 # the batch runner: cold fills, warm is all re-validated hits
 # ---------------------------------------------------------------------------
 

@@ -248,6 +248,126 @@ def test_missing_certificate_fails_validation():
 
 
 # ---------------------------------------------------------------------------
+# cone of influence: only the definitions an obligation reads are asserted
+# ---------------------------------------------------------------------------
+
+
+def _cone(validation, obligation):
+    """``(kept, total)`` from an obligation's ``cone kept/total`` note."""
+    note = next(o.note for o in validation.obligations if o.name == obligation)
+    kept, total = note.split()[1].split("/")
+    return int(kept), int(total)
+
+
+@pytest.mark.parametrize("property_name", ["cnt_in_range", "cnt_le_9"])
+def test_cnt_obligations_assert_no_acc_definition(property_name):
+    """mac16's ``cnt`` properties never read ``acc``: its multiplier stays unblasted."""
+    system = get_benchmark("mac16").load()
+    assert sorted(system.flattened().next) == ["acc", "cnt"]
+    for k in (1, 3):
+        claim = KInductiveCertificate(property_name, "test", k, False)
+        validation = validate_certificate(system, claim)
+        assert validation.ok, validation.reason
+        # one cnt definition per step; the k acc definitions are out of the cone
+        assert _cone(validation, "step") == (k, 2 * k)
+        assert _cone(validation, "base") == (k - 1, 2 * (k - 1))
+
+
+def _shift_chain():
+    """A counter feeding a three-register shift chain; ``r3 == 1`` at cycle 3."""
+    from repro.netlist import TransitionSystem
+
+    ts = TransitionSystem("chain")
+    r0 = ts.add_state_var("r0", 4, init=1)
+    r1 = ts.add_state_var("r1", 4, init=0)
+    r2 = ts.add_state_var("r2", 4, init=0)
+    r3 = ts.add_state_var("r3", 4, init=0)
+    ts.set_next("r0", r0)
+    ts.set_next("r1", r0)
+    ts.set_next("r2", r1)
+    ts.set_next("r3", r2)
+    ts.add_property("r3_not_1", r3.ne(bv_const(1, 4)))
+    return ts
+
+
+def test_three_frame_definition_chain_still_refutes_the_step():
+    """A k=3 claim on a design violated at cycle 3: the base holds only through
+    the two-frame chain r3#2 <- r2#1 <- r1#0, the step fails only through the
+    three-frame chain r3#3 <- r2#2 <- r1#1 <- r0#0."""
+    system = _shift_chain()
+    validation = validate_certificate(
+        system, KInductiveCertificate("r3_not_1", "test", 3, False)
+    )
+    assert not validation.ok
+    assert [o.name for o in validation.failed_obligations()] == ["step"]
+    assert validation.reason == "obligation 'step' is violated"
+    # r3#1..3, r2#1..2 and r1#1 are read; no r0 definition and no r1#2, r1#3
+    assert _cone(validation, "step") == (6, 12)
+
+
+def test_constraint_on_out_of_cone_register_keeps_its_definitions():
+    """``en`` may fire only when the free-running ``z`` reads 3, so the
+    counter first reaches 1 at cycle 4.  ``z`` is outside the property's cone;
+    the base case of a k=3 claim holds only because the constraint pulls
+    ``z``'s definitions in, and the claim fails at the step, as before."""
+    from repro.exprs import bool_not, bool_or, bv_ite
+    from repro.netlist import TransitionSystem
+
+    ts = TransitionSystem("gated")
+    en = ts.add_input("en", 1)
+    cnt = ts.add_state_var("cnt", 4, init=0)
+    z = ts.add_state_var("z", 2, init=0)
+    ts.set_next("cnt", bv_ite(en, cnt + bv_const(1, 4), cnt))
+    ts.set_next("z", z + bv_const(1, 2))
+    ts.add_constraint(bool_or(bool_not(en), z.eq(bv_const(3, 2))))
+    ts.add_property("cnt_not_1", cnt.ne(bv_const(1, 4)))
+
+    validation = validate_certificate(
+        ts, KInductiveCertificate("cnt_not_1", "test", 3, False)
+    )
+    assert not validation.ok
+    assert [o.name for o in validation.failed_obligations()] == ["step"]
+    assert _cone(validation, "base") == (4, 4)  # cnt#1, cnt#2, z#1, z#2
+
+    # the base case rests on the constraint: without it, en fires at cycle 0
+    ts.constraints = []
+    unconstrained = validate_certificate(
+        ts, KInductiveCertificate("cnt_not_1", "test", 3, False)
+    )
+    assert "base" in {o.name for o in unconstrained.failed_obligations()}
+
+
+def test_suite_certificates_validate_with_unchanged_obligation_outcomes():
+    """Every suite unit's certificate gets the same obligation outcomes from
+    the cone discharge as from asserting every definition."""
+    from repro.benchmarks import BENCHMARKS
+    from repro.certs.validate import CertificateValidator
+    from repro.engines.batch import run_sequential_ladder
+    from repro.engines.portfolio import default_budget_ladder
+
+    class WholeDesign(CertificateValidator):
+        """Reference discharge: every definition asserted, no cone."""
+
+        def _unsat(self, conjuncts, definitions):
+            return super()._unsat(conjuncts + list(definitions.values()), {})
+
+    ladder = default_budget_ladder(("word",), timeout=60, priors={})
+    checked = 0
+    for name in BENCHMARKS:
+        system = get_benchmark(name).load()
+        for prop in system.properties:
+            result = run_sequential_ladder(system, prop.name, ladder, 60)
+            assert result.status == get_benchmark(name).expected
+            cone = validate_certificate(system, result.certificate)
+            whole = WholeDesign(system).validate(result.certificate)
+            assert cone.ok and whole.ok, (name, cone.reason, whole.reason)
+            outcomes = [(o.name, o.outcome) for o in cone.obligations]
+            assert outcomes == [(o.name, o.outcome) for o in whole.obligations]
+            checked += 1
+    assert checked == 14
+
+
+# ---------------------------------------------------------------------------
 # the fault-injection oracle
 # ---------------------------------------------------------------------------
 

@@ -203,6 +203,30 @@ def test_batch_certify_rejects_forged_certificates_and_recovers():
     assert row.supervision["retried"]
 
 
+def test_batch_forged_certificate_is_refused_in_the_worker_never_stored(
+    tmp_path, monkeypatch
+):
+    """Without ``certify`` a forged verdict can win the ladder, but the
+    worker's certification for the cache refuses it: the parent has nothing
+    to commit and the store stays empty."""
+
+    def parent_store(*args, **kwargs):
+        raise AssertionError("the parent certified a pool result itself")
+
+    monkeypatch.setattr(ResultCache, "store", parent_store)
+    cache = ResultCache(str(tmp_path))
+    with plan_installed(FaultPlan(seed=0, rates={CERT_FORGE: 1.0})):
+        report = BatchRunner(cache=cache, timeout=60, bound=80).run(
+            [BatchItem.benchmark("daio")]
+        )
+    row = report.items[0]
+    assert row.status == Status.SAFE and row.correct is False  # the lie won
+    assert not row.stored and not row.validated
+    assert "not cached: certificate failed validation" in row.reason
+    assert row.certify_s is not None  # refused by the worker's certification
+    assert len(cache.store_backend) == 0
+
+
 # ---------------------------------------------------------------------------
 # the portfolio runner under chaos
 # ---------------------------------------------------------------------------

@@ -351,6 +351,26 @@ def test_server_cold_computed_then_warm_cache_hit(tmp_path):
     assert not os.path.exists(config.socket_path)
 
 
+def test_server_without_certify_reports_the_store_validation(tmp_path):
+    """Without ``--certify`` a computed verdict is still validated — by the
+    worker certifying it for the cache — and the reply says so."""
+    config = ServerConfig(
+        socket_path=_sock(tmp_path),
+        cache_dir=str(tmp_path / "cache"),
+        default_deadline_s=120.0,
+    )
+    assert not config.certify
+    with _RunningServer(config) as server:
+        with ServeClient(socket_path=config.socket_path) as client:
+            for design, status in (("buffalloc", Status.SAFE), ("daio", Status.UNSAFE)):
+                reply = client.verify(design=design, representation="word", bound=70)
+                assert reply["status"] == status
+                assert reply["source"] == "computed"
+                assert reply["validated"] is True
+            client.drain()
+    assert server.cache.stores == 2 and len(server.cache.store_backend) == 2
+
+
 def test_server_coalesces_identical_concurrent_queries(tmp_path):
     config = ServerConfig(
         socket_path=_sock(tmp_path),
